@@ -23,15 +23,6 @@ int threads() {
   return static_cast<int>(value);
 }
 
-int interleave() {
-  std::uint64_t value = env_u64("CYCLOID_BENCH_INTERLEAVE", 1);
-  // env_u64 already rejects garbage and 64-bit overflow; additionally
-  // reject 0 (no lanes is meaningless) and widths past the engine's lane
-  // cap rather than silently clamping.
-  if (value == 0 || value > kMaxBenchInterleave) value = 1;
-  return static_cast<int>(value);
-}
-
 bool parse_u64(const char* value, std::uint64_t& out) {
   if (value == nullptr || *value < '0' || *value > '9') return false;
   errno = 0;
@@ -45,10 +36,6 @@ bool parse_u64(const char* value, std::uint64_t& out) {
 Report::Report(int argc, const char* const* argv, std::string program,
                std::string description)
     : program_(std::move(program)), description_(std::move(description)) {
-  // Install the interleave knob process-wide so every lookup batch a bench
-  // binary runs — figure drivers included — honors CYCLOID_BENCH_INTERLEAVE
-  // (output is identical at every width; only throughput changes).
-  exp::set_lookup_interleave(interleave());
   util::ArgParser parser(program_, description_);
   parser.add_option("json", "",
                     "also write all sections as a JSON document to this path");

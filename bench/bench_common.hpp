@@ -61,20 +61,6 @@ inline constexpr std::uint64_t kMaxBenchThreads = 4096;
 /// to the hardware default instead of silently truncating.
 int threads();
 
-/// Upper bound accepted from CYCLOID_BENCH_INTERLEAVE — the engine's lane
-/// cap (dht::Router::kMaxBatchWidth); wider requests could only queue.
-inline constexpr std::uint64_t kMaxBenchInterleave = 16;
-
-/// Interleave width for the lookup batches (results are identical at any
-/// width; see exp::run_lookup_batch / dht::Router::route_batch). Override
-/// with CYCLOID_BENCH_INTERLEAVE — strictly parsed exactly like
-/// CYCLOID_BENCH_THREADS: garbage, partial parses, zero, and widths beyond
-/// kMaxBenchInterleave all fall back to 1 (the sequential path) instead of
-/// silently truncating. Report's constructor installs this value as the
-/// process-wide exp::set_lookup_interleave default, so every bench binary
-/// honors the knob.
-int interleave();
-
 /// Fixed seed: every bench prints identical tables run to run.
 inline constexpr std::uint64_t kBenchSeed = 0xC1C101DULL;
 

@@ -38,10 +38,12 @@ int main(int argc, char** argv) {
       for (std::uint64_t i = 0; i < lookups; ++i) {
         const dht::NodeHandle from = net->random_node(rng);
         const ccc::CccId key = net->key_id(rng());
-        std::vector<CycloidNetwork::RouteStep> trace;
-        const dht::LookupResult result = net->lookup_id(from, key, &trace);
+        std::vector<dht::TraceStep> trace;
+        dht::LookupMetrics sink;
+        const dht::LookupResult result =
+            net->lookup_id(from, key, sink, &trace);
         hops.add(result.hops);
-        latency.add(net->route_latency(from, trace));
+        latency.add(dht::trace_latency(trace));
       }
       util::Table& r = table.row()
                            .add(net->node_count())

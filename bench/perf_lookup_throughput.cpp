@@ -8,18 +8,17 @@
 // from a routing change.
 //
 // The lookup hot path is allocation-free after warm-up (DESIGN.md §8): each
-// shard of exp::run_lookup_batch reuses one dht::RouterScratch and one
+// shard of exp::run_lookup_batch reuses one dht::BatchScratch and one
 // dense-slot query-load plane, so these numbers measure routing, not the
-// allocator.
+// allocator. The main table routes one lookup at a time (W = 1), so it
+// stays comparable with bench/baselines/BENCH_lookups.json; the sweep
+// table times W in {1, 2, 4, 8}.
 //
 // Knobs:
 //   CYCLOID_BENCH_PERF_MAX_NODES  largest network size to run (default 2^17;
 //                                 CI smoke sets 2048 — builds stay cheap)
 //   CYCLOID_BENCH_PERF_LOOKUPS    lookups per timed run (default 32768)
 //   CYCLOID_BENCH_THREADS         worker threads for the parallel runs
-//   CYCLOID_BENCH_INTERLEAVE      default in-flight lookup width for the
-//                                 main table's runs (the sweep table times
-//                                 W in {1, 2, 4, 8} regardless)
 //
 // Typical use: scripts/perf.sh, which writes BENCH_lookups.json via --json.
 #include <algorithm>
@@ -89,15 +88,18 @@ int main(int argc, char** argv) {
       // Warm-up: fault in node state, size the per-shard scratch buffers
       // and dense query-load planes (untimed).
       exp::run_lookup_batch(*net, std::min<std::uint64_t>(lookups, 4096),
-                            bench::kBenchSeed + 1, threads);
+                            bench::kBenchSeed + 1, threads,
+                            /*check_owner=*/true, /*width=*/1);
 
       const auto seq_start = std::chrono::steady_clock::now();
       const exp::WorkloadStats seq = exp::run_lookup_batch(
-          *net, lookups, bench::kBenchSeed + 2, /*threads=*/1);
+          *net, lookups, bench::kBenchSeed + 2, /*threads=*/1,
+          /*check_owner=*/true, /*width=*/1);
       const double seq_s = seconds_since(seq_start);
 
       const auto par_start = std::chrono::steady_clock::now();
-      exp::run_lookup_batch(*net, lookups, bench::kBenchSeed + 2, threads);
+      exp::run_lookup_batch(*net, lookups, bench::kBenchSeed + 2, threads,
+                            /*check_owner=*/true, /*width=*/1);
       const double par_s = seconds_since(par_start);
 
       // Hot-path cost per hop decision (1-thread run): routing time

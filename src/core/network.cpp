@@ -700,14 +700,6 @@ class CycloidStepPolicy final : public dht::StepPolicy {
 
 }  // namespace
 
-LookupResult CycloidNetwork::route_impl(
-    NodeHandle from, dht::KeyHash key, dht::LookupMetrics& sink,
-    const dht::RouterOptions& options) const {
-  CYCLOID_EXPECTS(contains(from));
-  CycloidStepPolicy policy(*this, key_id(key));
-  return dht::Router::run(policy, from, sink, options);
-}
-
 void CycloidNetwork::route_batch_impl(const dht::NodeHandle* froms,
                                       const dht::KeyHash* keys,
                                       std::size_t count, int width,
@@ -722,15 +714,21 @@ void CycloidNetwork::route_batch_impl(const dht::NodeHandle* froms,
                            });
 }
 
-LookupResult CycloidNetwork::lookup_id(NodeHandle from, const CccId& key,
-                                       dht::LookupMetrics& sink,
-                                       std::vector<RouteStep>* trace) const {
-  CYCLOID_EXPECTS(contains(from));
-  sink.bind(*this);  // route() binds automatically; this entry is direct
+LookupResult CycloidNetwork::lookup_id(
+    NodeHandle from, const CccId& key, dht::LookupMetrics& sink,
+    std::vector<dht::TraceStep>* trace) const {
+  sink.bind(*this);  // route_batch() binds automatically; this entry is direct
   dht::RouterOptions options;
   options.trace = trace;
-  CycloidStepPolicy policy(*this, key);
-  return dht::Router::run(policy, from, sink, options);
+  LookupResult result;
+  dht::BatchScratch lane;
+  const dht::KeyHash unused = 0;  // the policy routes toward `key` itself
+  dht::Router::route_batch(&from, &unused, 1, 1, sink, &result, lane, options,
+                           [&](NodeHandle source, dht::KeyHash) {
+                             CYCLOID_EXPECTS(contains(source));
+                             return CycloidStepPolicy(*this, key);
+                           });
+  return result;
 }
 
 // --------------------------------------------------------------------------

@@ -138,8 +138,7 @@ class MaintenanceMetrics {
     if (per_node_.size() < count) per_node_.resize(count);
   }
 
-  /// Sum over all nodes (live + departed) and all causes — the legacy
-  /// `maintenance_updates()` value.
+  /// Sum over all nodes (live + departed) and all causes.
   std::uint64_t total() const {
     std::uint64_t sum = 0;
     for (const MaintenanceBreakdown& row : per_node_) {

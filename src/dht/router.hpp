@@ -3,11 +3,11 @@
 // The simulator is message-level — a lookup is a sequence of hop decisions —
 // and every overlay used to re-implement the same `while (true)` loop with
 // its own copy of dead-contact timeout accounting, phase bookkeeping, and
-// loop guards. dht::Router owns that loop end to end. An overlay's
-// `route(from, key, sink, options)` shrinks to a *step policy*: given the
-// current position, decide the next hop (forward / deliver / fail) with a
-// phase tag. The engine centrally handles everything the overlays used to
-// duplicate:
+// loop guards. dht::Router owns that loop end to end (Router::route_batch;
+// a single lookup is a batch of one). An overlay contributes a *step
+// policy* factory: given the current position, the policy decides the
+// next hop (forward / deliver / fail) with a phase tag. The engine
+// centrally handles everything the overlays used to duplicate:
 //
 //   - dead-neighbour timeout detection: RouteState::attempt() charges one
 //     timeout per *distinct* departed node contacted (paper Sec. 4.3) and
@@ -43,12 +43,10 @@
 
 namespace cycloid::dht {
 
-/// Reusable per-lookup buffers of the engine. A caller that routes many
-/// lookups passes the same scratch every time (RouterOptions::scratch):
-/// the engine clears the buffers but keeps their capacity, so a warmed-up
-/// batch performs zero heap allocations per lookup. One scratch per thread
-/// — it is engine working state, never shared and never read back.
-struct RouterScratch {
+/// Per-lookup working buffers of one engine lane. The engine clears them
+/// when a lane starts a lookup but keeps their capacity, so a BatchScratch
+/// reused across batches routes without per-lookup heap allocations.
+struct LaneScratch {
   /// Distinct departed nodes contacted (RouteState::attempt dedup).
   std::vector<NodeHandle> dead_seen;
   /// Nodes the route passed through (policies with track_visited()).
@@ -64,22 +62,34 @@ struct RouterScratch {
   }
 };
 
+/// Reusable engine buffers for Router::route_batch, one LaneScratch per
+/// in-flight lane. Lane 0 lives inline, so a batch of one (the
+/// DhtNetwork::route entry) touches no heap beyond what its own lookup
+/// pushes; wider batches grow `rest` once and reuse it. A caller that
+/// batches repeatedly passes the same object every time so the lane
+/// buffers warm once. One BatchScratch per thread — never shared.
+struct BatchScratch {
+  LaneScratch first;
+  std::vector<LaneScratch> rest;
+
+  LaneScratch& lane(std::size_t l) { return l == 0 ? first : rest[l - 1]; }
+};
+
 /// Per-call knobs of the routing engine.
 struct RouterOptions {
   /// Maximum message forwardings before the engine aborts the lookup with
   /// LookupStatus::kHopLimit. 0 selects the policy's default cap
   /// (8 * bits of the overlay's identifier space).
   int max_hops = 0;
-  /// When non-null, every counted hop is appended as a TraceStep.
+  /// When non-null, every counted hop is appended as a TraceStep. Only a
+  /// batch of at most one lookup may be traced (lanes would interleave
+  /// their hops in one vector); route_batch traps on anything larger.
   std::vector<TraceStep>* trace = nullptr;
   /// Accumulate per-hop link latencies into LookupResult::route_latency
   /// without recording a trace (the churn drivers' per-lookup pricing).
   /// Tracing implies pricing; with both off the engine never evaluates
   /// link_latency, so untraced batches pay nothing.
   bool price_links = false;
-  /// When non-null, the engine routes out of these caller-owned buffers
-  /// instead of per-call locals (the zero-allocation batch hot path).
-  RouterScratch* scratch = nullptr;
 };
 
 /// A step policy's verdict for the current position.
@@ -116,9 +126,9 @@ struct HopDecision {
 class RouteState;
 
 /// The per-overlay half of a lookup: pure routing logic, no accounting.
-/// Policies are cheap per-lookup objects (constructed on the stack by the
-/// overlay's `route()`), so they may carry per-lookup state such as
-/// Koorde's imaginary-node path or Viceroy's phase machine.
+/// Policies are cheap per-lookup objects (built by the overlay's policy
+/// factory, one per lane refill), so they may carry per-lookup state such
+/// as Koorde's imaginary-node path or Viceroy's phase machine.
 class StepPolicy {
  public:
   /// fallback_budget() value meaning "no step budget".
@@ -165,11 +175,11 @@ class StepPolicy {
     return torus_latency(a, b);
   }
 
-  // Batch-mode prefetch hints (Router::route_batch) -----------------------
-  // Both hooks are pure hints: they must issue prefetches only (no reads
+  // Multi-lane prefetch hints (Router::route_batch) -----------------------
+  // The hooks are pure hints: they must issue prefetches only (no reads
   // that the result could depend on, no writes anywhere), so routing output
-  // is bit-identical whether or not they run. The engine calls them one
-  // lane rotation apart:
+  // is bit-identical whether or not they run. A single-lane batch skips
+  // them; with more lanes the engine calls them one rotation apart:
   //
   //   prefetch(slot)         the moment `slot` becomes a lane's next
   //                          position — address arithmetic only (the node
@@ -261,14 +271,14 @@ class RouteState {
   friend class Router;
 
   /// Default-constructed states are unbound lane slots of route_batch;
-  /// bind() targets them at a lookup (and run() uses it the same way).
+  /// bind() targets them at a lookup.
   RouteState() = default;
 
   /// Re-target this state at one lookup: wire the policy/sink/result/
   /// scratch pointers and reset all per-lookup position fields. The batch
   /// engine re-binds the same RouteState object once per lane refill.
   void bind(const StepPolicy& policy, LookupMetrics& sink,
-            LookupResult& result, RouterScratch& scratch) noexcept {
+            LookupResult& result, LaneScratch& scratch) noexcept {
     policy_ = &policy;
     sink_ = &sink;
     result_ = &result;
@@ -284,10 +294,9 @@ class RouteState {
   LookupMetrics* sink_ = nullptr;
   LookupResult* result_ = nullptr;
   /// Engine buffers (dead-seen dedup — small, linear scan beats hashing —
-  /// visited tracking, and the policy candidate buffer). Either the
-  /// caller's reusable scratch, Router::run's per-call local, or the lane's
-  /// slice of a BatchScratch.
-  RouterScratch* scratch_ = nullptr;
+  /// visited tracking, and the policy candidate buffer): the lane's slice
+  /// of the caller's BatchScratch.
+  LaneScratch* scratch_ = nullptr;
   NodeHandle current_ = kNoNode;
   std::size_t current_slot_ = kNoSlot;
   bool fallback_ = false;
@@ -295,26 +304,16 @@ class RouteState {
   int timeouts_at_last_hop_ = 0;
 };
 
-/// Reusable per-lane engine buffers for Router::route_batch: one
-/// RouterScratch per in-flight lane. Like RouterScratch itself, a caller
-/// that batches repeatedly passes the same object every time so the lane
-/// buffers warm once and the hot path allocates nothing. One BatchScratch
-/// per thread — never shared.
-struct BatchScratch {
-  std::vector<RouterScratch> lanes;
-};
-
-/// The hop loop. `run` drives `policy` from `from` until it delivers,
-/// fails, or exceeds the hop cap, accounting every hop into `sink`.
-/// `route_batch` drives many lookups through the same loop with up to
-/// kMaxBatchWidth of them in flight at once (software pipelining): each
-/// lane owns a RouteState and a RouterScratch slice, lanes advance
-/// round-robin, and the policy's prefetch hints overlap one lane's DRAM
-/// misses with the other lanes' compute. Lanes are fully independent and
-/// the engine is const, so per-lookup results and sink totals are
-/// bit-identical to a sequential `run` loop at every width (the notes — the
-/// only order-sensitive sink writes — are issued in lookup-index order
-/// after the lanes drain).
+/// The hop loop — the only one. `route_batch` drives lookups from their
+/// sources until each delivers, fails, or exceeds the hop cap, accounting
+/// every hop into `sink`, with up to kMaxBatchWidth of them in flight at
+/// once (software pipelining): each lane owns a RouteState and a
+/// LaneScratch, lanes advance round-robin, and the policy's prefetch hints
+/// overlap one lane's DRAM misses with the other lanes' compute. Lanes are
+/// fully independent and the engine is const, so per-lookup results and
+/// sink totals are bit-identical at every width (the notes — the only
+/// order-sensitive sink writes — are issued in lookup-index order after
+/// the lanes drain). DhtNetwork::route is a batch of one.
 class Router {
  public:
   /// Hard cap on in-flight lanes. Eight lanes already saturate the MLP of
@@ -322,38 +321,52 @@ class Router {
   /// the lane array live in a fixed-size std::array (no per-batch heap).
   static constexpr int kMaxBatchWidth = 16;
 
-  static LookupResult run(StepPolicy& policy, NodeHandle from,
-                          LookupMetrics& sink,
-                          const RouterOptions& options = {});
-
   /// Route `count` lookups (froms[i] toward keys[i]) with up to `width`
   /// in flight, writing per-lookup outcomes into results[0..count) and
-  /// accounting into `sink` exactly as `count` sequential run() calls
-  /// would. `make_policy(from, key)` builds the overlay's per-lookup step
-  /// policy by value; the concrete policy type lets the compiler
-  /// devirtualize the hop loop. Widths outside [1, kMaxBatchWidth] are
-  /// clamped. RouterOptions::scratch is ignored — each lane routes out of
-  /// its own slice of `batch`.
+  /// accounting into `sink`. `make_policy(from, key)` builds the overlay's
+  /// per-lookup step policy by value; the concrete policy type lets the
+  /// compiler devirtualize the hop loop. Widths outside [1, kMaxBatchWidth]
+  /// are clamped. A traced batch (options.trace) holds at most one lookup.
   template <typename MakePolicy>
   static void route_batch(const NodeHandle* froms, const KeyHash* keys,
                           std::size_t count, int width, LookupMetrics& sink,
                           LookupResult* results, BatchScratch& batch,
                           const RouterOptions& options,
                           MakePolicy&& make_policy) {
-    using Policy =
-        std::decay_t<std::invoke_result_t<MakePolicy&, NodeHandle, KeyHash>>;
+    CYCLOID_EXPECTS(options.trace == nullptr || count <= 1);
     if (count == 0) return;
     const std::size_t lane_count = std::min<std::size_t>(
         static_cast<std::size_t>(std::clamp(width, 1, kMaxBatchWidth)), count);
-    if (batch.lanes.size() < lane_count) batch.lanes.resize(lane_count);
+    if (batch.rest.size() + 1 < lane_count) batch.rest.resize(lane_count - 1);
+    // A single lane gets a one-element lane array and no prefetch stages:
+    // nothing else could run while its hints land.
+    if (lane_count == 1) {
+      drive<1>(froms, keys, count, 1, sink, results, batch, options,
+               make_policy);
+    } else {
+      drive<kMaxBatchWidth>(froms, keys, count, lane_count, sink, results,
+                            batch, options, make_policy);
+    }
+  }
 
-    // One lane = one in-flight lookup. A lane cycles through three visits
-    // per hop: a prefetch_tables visit (stage-2 hint for the position it
-    // just moved to), a prefetch_probes visit (stage-3 hint, one rotation
-    // later so the stage-2 lines have landed), and a step visit (next_hop
-    // + commit + stage-1 hint for the position it moves to next).
-    // Everything a step reads was prefetched one to three rotations
-    // earlier, while the other lanes were doing their own work.
+ private:
+  template <std::size_t kLanes, typename MakePolicy>
+  static void drive(const NodeHandle* froms, const KeyHash* keys,
+                    std::size_t count, std::size_t lane_count,
+                    LookupMetrics& sink, LookupResult* results,
+                    BatchScratch& batch, const RouterOptions& options,
+                    MakePolicy& make_policy) {
+    using Policy =
+        std::decay_t<std::invoke_result_t<MakePolicy&, NodeHandle, KeyHash>>;
+    constexpr bool kStaged = kLanes > 1;
+
+    // One lane = one in-flight lookup. With several lanes, a lane cycles
+    // through three visits per hop: a prefetch_tables visit (stage-2 hint
+    // for the position it just moved to), a prefetch_probes visit (stage-3
+    // hint, one rotation later so the stage-2 lines have landed), and a
+    // step visit (next_hop + commit + stage-1 hint for the position it
+    // moves to next). Everything a step reads was prefetched one to three
+    // rotations earlier, while the other lanes were doing their own work.
     struct Lane {
       std::optional<Policy> policy;
       RouteState state;
@@ -361,7 +374,7 @@ class Router {
       int budget = 0;
       int stage = 0;  // 0 = tables hint, 1 = probes hint, 2 = step
     };
-    std::array<Lane, kMaxBatchWidth> lanes;
+    std::array<Lane, kLanes> lanes;
 
     std::size_t next = 0;       // next batch index to start
     std::size_t in_flight = 0;  // lanes currently holding a lookup
@@ -369,7 +382,7 @@ class Router {
     const auto refill = [&](std::size_t l) {
       const std::size_t i = next++;
       Lane& lane = lanes[l];
-      RouterScratch& scratch = batch.lanes[l];
+      LaneScratch& scratch = batch.lane(l);
       scratch.clear();
       results[i] = LookupResult{};
       lane.policy.emplace(make_policy(froms[i], keys[i]));
@@ -382,7 +395,7 @@ class Router {
           options.max_hops > 0 ? options.max_hops : policy.default_max_hops();
       CYCLOID_EXPECTS(lane.max_hops > 0);
       lane.budget = policy.fallback_budget();
-      policy.prefetch(lane.state.current_slot_);
+      if constexpr (kStaged) policy.prefetch(lane.state.current_slot_);
       lane.stage = 0;
       ++in_flight;
     };
@@ -397,15 +410,17 @@ class Router {
           continue;
         }
         Policy& policy = *lane.policy;
-        if (lane.stage == 0) {
-          policy.prefetch_tables(lane.state.current_slot_);
-          lane.stage = 1;
-          continue;
-        }
-        if (lane.stage == 1) {
-          policy.prefetch_probes(lane.state.current_slot_);
-          lane.stage = 2;
-          continue;
+        if constexpr (kStaged) {
+          if (lane.stage == 0) {
+            policy.prefetch_tables(lane.state.current_slot_);
+            lane.stage = 1;
+            continue;
+          }
+          if (lane.stage == 1) {
+            policy.prefetch_probes(lane.state.current_slot_);
+            lane.stage = 2;
+            continue;
+          }
         }
         if (step_once(lane.state, policy, sink, options, lane.max_hops,
                       lane.budget)) {
@@ -413,7 +428,7 @@ class Router {
           lane.policy.reset();
           --in_flight;
           if (next < count) refill(l);
-        } else {
+        } else if constexpr (kStaged) {
           policy.prefetch(lane.state.current_slot_);
           lane.stage = 0;
         }
@@ -422,18 +437,16 @@ class Router {
 
     // Note the finished lookups in batch-index order: note() accumulates a
     // double (route_latency), so a fixed order keeps totals bit-identical
-    // to the sequential loop at every width. All other sink writes during
-    // routing are commutative integer counters.
+    // at every width. All other sink writes during routing are commutative
+    // integer counters.
     for (std::size_t i = 0; i < count; ++i) sink.note(results[i]);
   }
 
- private:
-  /// One iteration of the hop loop — exactly the body `run` executes per
-  /// decision, shared verbatim with the batch lanes. Returns true when the
-  /// lookup terminated (result status/success already set; destination is
-  /// the caller's to fill from state.current_). Templated on the concrete
-  /// policy type so route_batch's instantiation devirtualizes the per-hop
-  /// calls; run() instantiates it at the StepPolicy base.
+  /// One iteration of the hop loop: the body every lane executes per
+  /// decision. Returns true when the lookup terminated (result status/
+  /// success already set; destination is the caller's to fill from
+  /// state.current_). Templated on the concrete policy type so each
+  /// overlay's instantiation devirtualizes the per-hop calls.
   template <typename P>
   static bool step_once(RouteState& state, P& policy, LookupMetrics& sink,
                         const RouterOptions& options, int max_hops,

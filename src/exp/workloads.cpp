@@ -1,5 +1,6 @@
 #include "exp/workloads.hpp"
 
+#include <algorithm>
 #include <unordered_map>
 #include <utility>
 
@@ -41,85 +42,62 @@ void WorkloadStats::merge(const WorkloadStats& other) {
 
 namespace {
 
-/// Process-wide run_lookup_batch interleave default (set_lookup_interleave).
-/// Plain int: the knob is installed once at startup (bench::Report) or from
-/// the test thread, never concurrently with a running batch.
-int g_lookup_interleave = 1;
-
-/// The shared inner loop: `count` lookups drawn from `rng` into `out`.
-/// `scratch` is this worker's reusable engine buffer — after the first few
-/// lookups warm its capacity, the loop performs no per-lookup allocations.
-void run_into(const dht::DhtNetwork& net, std::uint64_t count, util::Rng& rng,
-              bool check_owner, WorkloadStats& out,
-              dht::RouterScratch& scratch) {
-  dht::RouterOptions options;
-  options.scratch = &scratch;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const dht::NodeHandle source = net.random_node(rng);
-    const dht::KeyHash key = rng();
-    const dht::LookupResult result = net.route(source, key, out.metrics, options);
-    out.note(result, !check_owner || !result.success ||
-                         result.destination == net.owner_of(key));
-  }
-}
-
-/// Per-shard buffers for the interleaved path, reused across a worker's
-/// shards so steady-state batches allocate nothing.
-struct InterleaveScratch {
+/// Reusable buffers of the lookup loop: pre-drawn inputs, the batch's
+/// results, and the router's lane scratch. One per worker, so steady-state
+/// chunks allocate nothing.
+struct LoopScratch {
   std::vector<dht::NodeHandle> sources;
   std::vector<dht::KeyHash> keys;
   std::vector<dht::LookupResult> results;
   dht::BatchScratch lanes;
 };
 
-/// run_into's interleaved twin: same draws, same notes, same sink — only
-/// the hop loops of up to `width` lookups overlap. Sources and keys are
-/// pre-drawn in run_into's exact order (source, key, source, key, ...), so
-/// the shard's RNG stream is untouched by the width; route_batch guarantees
-/// the per-lookup results and sink writes match the sequential schedule.
-void run_interleaved(const dht::DhtNetwork& net, std::uint64_t count,
-                     util::Rng& rng, bool check_owner, int width,
-                     WorkloadStats& out, InterleaveScratch& scratch) {
-  const std::size_t n = static_cast<std::size_t>(count);
-  scratch.sources.resize(n);
-  scratch.keys.resize(n);
-  scratch.results.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    scratch.sources[i] = net.random_node(rng);
-    scratch.keys[i] = rng();
-  }
-  net.route_batch(scratch.sources.data(), scratch.keys.data(), n, width,
-                  out.metrics, scratch.results.data(), scratch.lanes,
-                  dht::RouterOptions{});
-  for (std::size_t i = 0; i < n; ++i) {
-    const dht::LookupResult& result = scratch.results[i];
-    out.note(result, !check_owner || !result.success ||
-                         result.destination == net.owner_of(scratch.keys[i]));
+/// The lookup loop every workload runner shares: `count` lookups drawn
+/// from `rng` into `out`, in chunks of at most kLookupShardSize. Each chunk
+/// pre-draws its sources and keys in the fixed order (source, key, source,
+/// key, ...), so the RNG stream does not depend on `width`; routes them
+/// through route_batch with up to `width` in flight; then notes them in
+/// input order. route_batch guarantees the per-lookup results and sink
+/// writes are the same at every width.
+void run_into(const dht::DhtNetwork& net, std::uint64_t count, util::Rng& rng,
+              bool check_owner, int width, WorkloadStats& out,
+              LoopScratch& scratch) {
+  for (std::uint64_t begin = 0; begin < count; begin += kLookupShardSize) {
+    const auto n =
+        static_cast<std::size_t>(std::min(kLookupShardSize, count - begin));
+    scratch.sources.resize(n);
+    scratch.keys.resize(n);
+    scratch.results.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      scratch.sources[i] = net.random_node(rng);
+      scratch.keys[i] = rng();
+    }
+    net.route_batch(scratch.sources.data(), scratch.keys.data(), n, width,
+                    out.metrics, scratch.results.data(), scratch.lanes,
+                    dht::RouterOptions{});
+    for (std::size_t i = 0; i < n; ++i) {
+      const dht::LookupResult& result = scratch.results[i];
+      out.note(result, !check_owner || !result.success ||
+                           result.destination == net.owner_of(scratch.keys[i]));
+    }
   }
 }
 
 }  // namespace
-
-void set_lookup_interleave(int width) {
-  g_lookup_interleave = width < 1 ? 1 : width;
-}
-
-int lookup_interleave() { return g_lookup_interleave; }
 
 WorkloadStats run_random_lookups(const dht::DhtNetwork& net,
                                  std::uint64_t count, util::Rng& rng,
                                  bool check_owner) {
   WorkloadStats out;
   out.phase_names = net.phase_names();
-  dht::RouterScratch scratch;
-  run_into(net, count, rng, check_owner, out, scratch);
+  LoopScratch scratch;
+  run_into(net, count, rng, check_owner, kDefaultLookupWidth, out, scratch);
   return out;
 }
 
 WorkloadStats run_lookup_batch(const dht::DhtNetwork& net, std::uint64_t count,
                                std::uint64_t seed, int threads,
-                               bool check_owner, int interleave) {
-  const int width = interleave > 0 ? interleave : lookup_interleave();
+                               bool check_owner, int width) {
   const std::uint64_t shards =
       count == 0 ? 0 : (count + kLookupShardSize - 1) / kLookupShardSize;
   std::vector<WorkloadStats> parts(static_cast<std::size_t>(shards));
@@ -131,23 +109,14 @@ WorkloadStats run_lookup_batch(const dht::DhtNetwork& net, std::uint64_t count,
     // Per-shard stream: decorrelate the shard index into a full 64-bit
     // seed (splitmix64-style), so streams never overlap in practice.
     util::Rng rng(util::mix64(seed ^ ((s + 1) * 0x9e3779b97f4a7c15ULL)));
-    // Per-shard scratch: engine buffers warm up once per shard and are
-    // reused across its kLookupShardSize lookups (never shared; DESIGN.md
-    // §8). Results do not depend on scratch reuse or interleave width.
-    if (width <= 1) {
-      dht::RouterScratch scratch;
-      run_into(net, n, rng, check_owner, parts[s], scratch);
-    } else {
-      InterleaveScratch scratch;
-      run_interleaved(net, n, rng, check_owner, width, parts[s], scratch);
-    }
+    // Per-shard scratch, never shared (DESIGN.md §8). Results do not
+    // depend on scratch reuse or width.
+    LoopScratch scratch;
+    run_into(net, n, rng, check_owner, width, parts[s], scratch);
   });
 
   WorkloadStats out;
   out.phase_names = net.phase_names();
-  // Bind the merged sink before the shard sinks fold in, so the batch-level
-  // query-load plane stays dense (shard merges add element-wise).
-  out.metrics.bind(net);
   for (const WorkloadStats& part : parts) out.merge(part);
   return out;
 }
@@ -190,12 +159,9 @@ stats::Summary key_distribution(const dht::DhtNetwork& net,
 
 stats::Summary query_load_distribution(const dht::DhtNetwork& net,
                                        std::uint64_t count, util::Rng& rng) {
-  dht::LookupMetrics sink;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    net.lookup(net.random_node(rng), rng(), sink);
-  }
+  const WorkloadStats s = run_random_lookups(net, count, rng, false);
   stats::Summary loads;
-  for (const std::uint64_t load : sink.query_load_vector(net)) {
+  for (const std::uint64_t load : s.metrics.query_load_vector(net)) {
     loads.add_count(load);
   }
   return loads;

@@ -45,10 +45,10 @@ struct WorkloadStats {
 };
 
 /// Run `count` lookups from uniform-random sources toward uniform-random
-/// keys, sequentially, through one shared sink (so Koorde's learned repairs
-/// carry across the run, like the old mutating implementation). When
-/// `check_owner`, each lookup's destination is compared against the
-/// overlay's ground-truth owner (counted in `incorrect` on mismatch).
+/// keys through one shared sink (so Koorde's learned repairs carry across
+/// the run, like the old mutating implementation). When `check_owner`,
+/// each lookup's destination is compared against the overlay's
+/// ground-truth owner (counted in `incorrect` on mismatch).
 WorkloadStats run_random_lookups(const dht::DhtNetwork& net,
                                  std::uint64_t count, util::Rng& rng,
                                  bool check_owner = true);
@@ -58,27 +58,21 @@ WorkloadStats run_random_lookups(const dht::DhtNetwork& net,
 /// merge order never change with parallelism.
 inline constexpr std::uint64_t kLookupShardSize = 2048;
 
-/// Process-wide default interleave width for run_lookup_batch — how many
-/// lookups each shard keeps in flight through the overlay's interleaved
-/// batch router (DhtNetwork::route_batch). bench::Report installs the
-/// CYCLOID_BENCH_INTERLEAVE knob here so every bench binary honors it.
-/// Widths are clamped to at least 1; 1 (the default) keeps the plain
-/// sequential path. Results are identical at every width.
-void set_lookup_interleave(int width);
-int lookup_interleave();
+/// Lookups the workload runners keep in flight through the overlay's
+/// interleaved batch router (DhtNetwork::route_batch) unless told
+/// otherwise. Any width produces bit-identical results; wider only
+/// overlaps the DRAM misses of independent lookups (DESIGN.md §14).
+inline constexpr int kDefaultLookupWidth = 8;
 
 /// Run `count` random lookups sharded across `threads` workers. Each shard
 /// draws its sources and keys from its own splitmix64-derived RNG stream
 /// and accumulates into its own sink; shards merge in index order. The
-/// result is bit-identical at any thread count.
-///
-/// `interleave` is the per-shard in-flight lookup width: > 0 overrides, 0
-/// (the default) uses the process-wide lookup_interleave(). Any width
-/// produces bit-identical results; widths > 1 only overlap the DRAM misses
-/// of independent lookups inside a shard (DESIGN.md §14).
+/// result is bit-identical at any thread count and any `width` (lookups
+/// in flight per shard).
 WorkloadStats run_lookup_batch(const dht::DhtNetwork& net, std::uint64_t count,
                                std::uint64_t seed, int threads,
-                               bool check_owner = true, int interleave = 0);
+                               bool check_owner = true,
+                               int width = kDefaultLookupWidth);
 
 /// One fully traced lookup: the engine-level per-hop record of every
 /// overlay (dht::RouterOptions::trace), plus the workload-side draw that

@@ -97,39 +97,6 @@ TEST_F(BenchThreadsTest, GarbageZeroAndOversizeFallBack) {
   }
 }
 
-class BenchInterleaveTest : public ::testing::Test {
- protected:
-  static constexpr const char* kVar = "CYCLOID_BENCH_INTERLEAVE";
-  void TearDown() override { ::unsetenv(kVar); }
-  void set(const char* value) { ::setenv(kVar, value, 1); }
-};
-
-TEST_F(BenchInterleaveTest, UnsetDefaultsToSequential) {
-  ::unsetenv(kVar);
-  EXPECT_EQ(interleave(), 1);
-}
-
-TEST_F(BenchInterleaveTest, ValidWidthWins) {
-  set("4");
-  EXPECT_EQ(interleave(), 4);
-  set("16");  // kMaxBenchInterleave itself is accepted
-  EXPECT_EQ(interleave(), 16);
-  set("1");
-  EXPECT_EQ(interleave(), 1);
-}
-
-TEST_F(BenchInterleaveTest, GarbageZeroAndOversizeFallBackToSequential) {
-  // Mirrors CYCLOID_BENCH_THREADS hardening: strict parse, then reject 0
-  // (no lanes is meaningless) and widths past the engine's lane cap.
-  for (const char* bad : {"junk", "4w", "-2", "+2", "3.5", "", " 4", "0",
-                          "17",                    // just past the lane cap
-                          "4294967296",            // u64-valid, absurd width
-                          "18446744073709551616"}) {  // 2^64: overflow
-    set(bad);
-    EXPECT_EQ(interleave(), 1) << "value: '" << bad << "'";
-  }
-}
-
 TEST(Report, WritesSectionsAsJson) {
   const std::string path = ::testing::TempDir() + "bench_report_test.json";
   const char* argv[] = {"bench_report_test", "--json", path.c_str()};

@@ -161,14 +161,14 @@ TEST(CanGeometry, PointFromHashCoversSpace) {
 TEST(CanQueryLoad, CountersSumToHops) {
   util::Rng rng(9);
   auto net = CanNetwork::build_random(150, rng);
-  net->reset_query_load();
+  dht::LookupMetrics sink;
   std::uint64_t hops = 0;
   for (int i = 0; i < 400; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->route(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t received = 0;
-  for (const std::uint64_t l : net->query_loads()) received += l;
+  for (const std::uint64_t l : sink.query_load_vector(*net)) received += l;
   EXPECT_EQ(received, hops);
 }
 

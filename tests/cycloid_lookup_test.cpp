@@ -51,15 +51,16 @@ TEST_P(LookupTest, OwnerMatchesBruteForceOnSparseNetworks) {
 TEST_P(LookupTest, EveryLookupReachesTheOwner_Complete) {
   auto net = CycloidNetwork::build_complete(dimension(), leaf_width());
   util::Rng rng(42 + dimension());
+  dht::LookupMetrics sink;
   for (int i = 0; i < 500; ++i) {
     const NodeHandle from = net->random_node(rng);
     const dht::KeyHash key = rng();
-    const dht::LookupResult result = net->lookup(from, key);
+    const dht::LookupResult result = net->route(from, key, sink);
     EXPECT_TRUE(result.success);
     EXPECT_EQ(result.destination, net->owner_of(key));
     EXPECT_EQ(result.timeouts, 0);
   }
-  EXPECT_EQ(net->guard_fallbacks(), 0u);
+  EXPECT_EQ(sink.guard_fallbacks, 0u);
 }
 
 TEST_P(LookupTest, EveryLookupReachesTheOwner_Sparse) {
@@ -70,14 +71,15 @@ TEST_P(LookupTest, EveryLookupReachesTheOwner_Sparse) {
         std::max<std::size_t>(2, space.size() / divisor);
     auto net =
         CycloidNetwork::build_random(dimension(), count, rng, leaf_width());
+    dht::LookupMetrics sink;
     for (int i = 0; i < 200; ++i) {
       const NodeHandle from = net->random_node(rng);
       const dht::KeyHash key = rng();
-      const dht::LookupResult result = net->lookup(from, key);
+      const dht::LookupResult result = net->route(from, key, sink);
       EXPECT_TRUE(result.success);
       EXPECT_EQ(result.destination, net->owner_of(key));
     }
-    EXPECT_EQ(net->guard_fallbacks(), 0u);
+    EXPECT_EQ(sink.guard_fallbacks, 0u);
   }
 }
 
@@ -137,7 +139,8 @@ TEST(LookupExample, PaperFigure4Route) {
   // leaves open).
   auto net = CycloidNetwork::build_complete(4);
   const dht::NodeHandle from = CycloidNetwork::handle_of(CccId{0, 0b0100});
-  const dht::LookupResult result = net->lookup_id(from, CccId{2, 0b1111});
+  dht::LookupMetrics sink;
+  const dht::LookupResult result = net->lookup_id(from, CccId{2, 0b1111}, sink);
   EXPECT_EQ(CycloidNetwork::id_of(result.destination), (CccId{2, 0b1111}));
   EXPECT_GT(result.hops, 0);
   EXPECT_LE(result.hops, 3 * 4);
@@ -159,8 +162,9 @@ TEST(LookupTrace, OneStepPerHopEndingAtDestination) {
   for (int i = 0; i < 200; ++i) {
     const NodeHandle from = net->random_node(rng);
     const CccId key = net->key_id(rng());
-    std::vector<CycloidNetwork::RouteStep> trace;
-    const dht::LookupResult result = net->lookup_id(from, key, &trace);
+    std::vector<dht::TraceStep> trace;
+    dht::LookupMetrics sink;
+    const dht::LookupResult result = net->lookup_id(from, key, sink, &trace);
     ASSERT_EQ(trace.size(), static_cast<std::size_t>(result.hops));
     if (!trace.empty()) {
       EXPECT_EQ(trace.back().node, result.destination);
@@ -187,9 +191,10 @@ TEST(LookupTrace, TimeoutsAttributedToSteps) {
   int traced_timeouts = 0;
   int reported_timeouts = 0;
   for (int i = 0; i < 300; ++i) {
-    std::vector<CycloidNetwork::RouteStep> trace;
-    const dht::LookupResult result =
-        net->lookup_id(net->random_node(rng), net->key_id(rng()), &trace);
+    std::vector<dht::TraceStep> trace;
+    dht::LookupMetrics sink;
+    const dht::LookupResult result = net->lookup_id(
+        net->random_node(rng), net->key_id(rng()), sink, &trace);
     reported_timeouts += result.timeouts;
     for (const auto& step : trace) traced_timeouts += step.timeouts_before;
   }
@@ -202,15 +207,17 @@ TEST(LookupTrace, TimeoutsAttributedToSteps) {
 
 TEST(LookupQueryLoad, ReceiveCountsMatchHops) {
   auto net = CycloidNetwork::build_complete(5);
-  net->reset_query_load();
+  dht::LookupMetrics sink;
   util::Rng rng(321);
   std::uint64_t total_hops = 0;
   for (int i = 0; i < 500; ++i) {
     total_hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->route(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t total_received = 0;
-  for (const std::uint64_t load : net->query_loads()) total_received += load;
+  for (const std::uint64_t load : sink.query_load_vector(*net)) {
+    total_received += load;
+  }
   EXPECT_EQ(total_received, total_hops);
 }
 

@@ -100,20 +100,22 @@ TEST_P(ConformanceTest, PhaseNamesMatchResultSlots) {
 
 TEST_P(ConformanceTest, QueryLoadAccountsEveryHop) {
   auto net = make(200, 12);
-  net->reset_query_load();
+  dht::LookupMetrics sink;
   util::Rng rng(13);
   std::uint64_t hops = 0;
   for (int i = 0; i < 500; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->route(net->random_node(rng), rng(), sink).hops);
   }
-  const auto loads = net->query_loads();
+  const auto loads = sink.query_load_vector(*net);
   EXPECT_EQ(loads.size(), net->node_count());
   std::uint64_t received = 0;
   for (const std::uint64_t l : loads) received += l;
   EXPECT_EQ(received, hops);
-  net->reset_query_load();
-  for (const std::uint64_t l : net->query_loads()) EXPECT_EQ(l, 0u);
+  // The load lives in the caller's sink: a fresh sink starts at zero.
+  dht::LookupMetrics fresh;
+  fresh.bind(*net);
+  for (const std::uint64_t l : fresh.query_load_vector(*net)) EXPECT_EQ(l, 0u);
 }
 
 TEST_P(ConformanceTest, JoinAddsContainedNode) {
@@ -360,10 +362,12 @@ TEST_P(ConformanceTest, SinkTotalsMatchPreEngineSeedValues) {
                    [&](const GoldenEntry& e) { return e.kind == GetParam(); });
   ASSERT_NE(it, std::end(kGoldenTotals));
   auto net = make_sparse_overlay(GetParam(), 8, 300, 42);
-  expect_totals(it->fresh, run_lookup_batch(*net, 3000, 1234, 1));
+  expect_totals(it->fresh, run_lookup_batch(*net, 3000, 1234, 1,
+                                            /*check_owner=*/true, 1));
   util::Rng rng(7);
   net->fail_ungraceful(0.25, rng);
-  expect_totals(it->after_fail, run_lookup_batch(*net, 2000, 555, 1));
+  expect_totals(it->after_fail, run_lookup_batch(*net, 2000, 555, 1,
+                                                 /*check_owner=*/true, 1));
 }
 
 // The interleaved batch router (DESIGN.md §14) pins the same golden totals
@@ -387,8 +391,8 @@ TEST_P(ConformanceTest, SinkTotalsMatchGoldenValuesAtEveryInterleaveWidth) {
   }
 }
 
-// Stronger than the golden totals: per-lookup result equality between the
-// sequential engine (net->route, one lookup at a time) and route_batch at
+// Stronger than the golden totals: per-lookup result equality between
+// routing one lookup at a time (net->route, a batch of one) and route_batch at
 // every width — on a fresh network and after ungraceful failures (the
 // latter exercises Koorde's stale-sink width-1 degradation).
 TEST_P(ConformanceTest, RouteBatchMatchesSequentialPerLookup) {
@@ -440,6 +444,52 @@ TEST_P(ConformanceTest, RouteBatchMatchesSequentialPerLookup) {
   util::Rng rng(7);
   net->fail_ungraceful(0.25, rng);
   check(/*seed=*/555, /*count=*/600);
+}
+
+// route() is a batch of one: for every lookup it must agree with element 0
+// of a wider route_batch starting at the same input (element 0 always sees
+// a sink nothing else has written yet, like route()'s fresh sink) — on a
+// fresh network and after ungraceful failures.
+TEST_P(ConformanceTest, RouteEqualsFirstElementOfRouteBatch) {
+  auto net = make(300, 42);
+  dht::RouterOptions options;
+  options.price_links = true;
+  const auto check = [&](std::uint64_t seed) {
+    constexpr std::size_t kCount = 200;
+    constexpr std::size_t kBatch = 8;
+    util::Rng rng(seed);
+    std::vector<NodeHandle> froms(kCount + kBatch);
+    std::vector<dht::KeyHash> keys(kCount + kBatch);
+    for (std::size_t i = 0; i < froms.size(); ++i) {
+      froms[i] = net->random_node(rng);
+      keys[i] = rng();
+    }
+    dht::BatchScratch lanes;
+    std::vector<dht::LookupResult> results(kBatch);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      SCOPED_TRACE("lookup " + std::to_string(i));
+      dht::LookupMetrics single_sink;
+      const dht::LookupResult single =
+          net->route(froms[i], keys[i], single_sink, options);
+      dht::LookupMetrics batch_sink;
+      net->route_batch(&froms[i], &keys[i], kBatch, static_cast<int>(kBatch),
+                       batch_sink, results.data(), lanes, options);
+      const dht::LookupResult& first = results[0];
+      EXPECT_EQ(first.hops, single.hops);
+      EXPECT_EQ(first.timeouts, single.timeouts);
+      EXPECT_EQ(first.success, single.success);
+      EXPECT_EQ(first.status, single.status);
+      EXPECT_EQ(first.destination, single.destination);
+      EXPECT_EQ(first.phase_hops, single.phase_hops);
+      EXPECT_EQ(first.route_latency, single.route_latency);
+      EXPECT_EQ(single_sink.lookups, 1u);
+      EXPECT_EQ(single_sink.hops, static_cast<std::uint64_t>(single.hops));
+    }
+  };
+  check(/*seed=*/1234);
+  util::Rng rng(7);
+  net->fail_ungraceful(0.25, rng);
+  check(/*seed=*/555);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOverlays, ConformanceTest,

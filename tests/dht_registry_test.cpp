@@ -234,5 +234,39 @@ TEST(ArenaAccessorDeathTest, NodeAtTrapsPastTheLiveSlots) {
   EXPECT_DEATH(std::as_const(*net).node_at(net->node_count()), "Precondition");
 }
 
+// ---------------------------------------------------------------------
+// A sink's dense query-load plane is keyed by one network's slots: an
+// unbound sink merging a bound one adopts that binding, and a sink never
+// spans two networks.
+
+TEST(SinkBinding, UnboundSinkAdoptsBindingOnMerge) {
+  util::Rng rng(0x5151);
+  auto net = chord::ChordNetwork::build_random(10, 40, rng);
+  LookupMetrics source;
+  for (int i = 0; i < 50; ++i) {
+    net->route(net->random_node(rng), rng(), source);
+  }
+  ASSERT_TRUE(source.bound());
+
+  LookupMetrics merged;
+  ASSERT_FALSE(merged.bound());
+  merged.merge(source);
+  EXPECT_TRUE(merged.bound());
+  EXPECT_EQ(merged.query_load_vector(*net), source.query_load_vector(*net));
+  EXPECT_EQ(merged.lookups, source.lookups);
+  EXPECT_EQ(merged.hops, source.hops);
+}
+
+TEST(SinkBindingDeathTest, MergingASinkBoundToAnotherNetworkTraps) {
+  util::Rng rng(0x5152);
+  auto first = chord::ChordNetwork::build_random(10, 20, rng);
+  auto second = chord::ChordNetwork::build_random(10, 20, rng);
+  LookupMetrics on_first;
+  LookupMetrics on_second;
+  first->route(first->random_node(rng), rng(), on_first);
+  second->route(second->random_node(rng), rng(), on_second);
+  EXPECT_DEATH(on_first.merge(on_second), "Precondition");
+}
+
 }  // namespace
 }  // namespace cycloid::dht

@@ -1,5 +1,6 @@
-// Unit tests of the shared routing engine (dht::Router) against synthetic
-// step policies over a tiny abstract universe — no overlay required. The
+// Unit tests of the shared routing engine (dht::Router::route_batch, the
+// only hop-loop driver) against synthetic step policies over a tiny
+// abstract universe — no overlay required. The
 // overlay-parameterized engine invariants live in dht_conformance_test.cpp.
 #include <gtest/gtest.h>
 
@@ -28,10 +29,45 @@ class FakePolicy : public StepPolicy {
   std::set<NodeHandle> dead_;
 };
 
+/// Routes one lookup through the batch driver (a batch of one, like
+/// DhtNetwork::route) with the test's own policy object, so per-lookup
+/// policy state stays observable afterwards. The factory hands the engine a
+/// forwarding view of `policy`; the engine only copies the view.
+template <typename P>
+LookupResult route_one(P& policy, NodeHandle from, LookupMetrics& sink,
+                       const RouterOptions& options = {}) {
+  class View : public StepPolicy {
+   public:
+    explicit View(P& target) : target_(&target) {}
+    HopDecision next_hop(const RouteState& state) override {
+      return target_->next_hop(state);
+    }
+    bool alive(NodeHandle node) const override { return target_->alive(node); }
+    int default_max_hops() const override {
+      return target_->default_max_hops();
+    }
+    int fallback_budget() const override { return target_->fallback_budget(); }
+    bool track_visited() const override { return target_->track_visited(); }
+    double link_latency(NodeHandle a, NodeHandle b) const override {
+      return target_->link_latency(a, b);
+    }
+
+   private:
+    P* target_;
+  };
+  LookupResult result;
+  BatchScratch lane;
+  const KeyHash key = 0;
+  Router::route_batch(&from, &key, 1, /*width=*/1, sink, &result, lane,
+                      options,
+                      [&policy](NodeHandle, KeyHash) { return View(policy); });
+  return result;
+}
+
 TEST(DhtRouterTest, DeliverAtSourceCountsNoHops) {
   FakePolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 7, sink);
+  const LookupResult result = route_one(policy, 7, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kDelivered);
   EXPECT_EQ(result.destination, 7u);
@@ -52,7 +88,7 @@ class CyclicPolicy : public FakePolicy {
 TEST(DhtRouterTest, CyclicRoutingTableTerminatesAtHopLimit) {
   CyclicPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kHopLimit);
   EXPECT_EQ(result.hops, policy.default_max_hops());
@@ -64,7 +100,7 @@ TEST(DhtRouterTest, OptionsMaxHopsOverridesPolicyDefault) {
   LookupMetrics sink;
   RouterOptions options;
   options.max_hops = 5;
-  const LookupResult result = Router::run(policy, 1, sink, options);
+  const LookupResult result = route_one(policy, 1, sink, options);
   EXPECT_EQ(result.status, LookupStatus::kHopLimit);
   EXPECT_EQ(result.hops, 5);
 }
@@ -79,7 +115,7 @@ class FailingPolicy : public FakePolicy {
 TEST(DhtRouterTest, FailReportsStatusAndPosition) {
   FailingPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 3, sink);
+  const LookupResult result = route_one(policy, 3, sink);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kFailed);
   EXPECT_EQ(result.destination, 3u);  // where routing got stuck
@@ -105,7 +141,7 @@ TEST(DhtRouterTest, AttemptChargesOneTimeoutPerDistinctDeadNode) {
   policy.kill(50);
   policy.kill(51);
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_EQ(result.timeouts, 2);
   EXPECT_EQ(sink.timeouts, 2u);
 }
@@ -127,7 +163,7 @@ TEST(DhtRouterTest, ResolveChainPromotesFirstLiveBackupAndLearns) {
   policy.kill(11);
   policy.kill(12);
   LookupMetrics sink;
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, 13u);
   EXPECT_EQ(sink.timeouts, 2u);  // 11 and 12
   ASSERT_TRUE(sink.learned_link(10).has_value());
@@ -135,7 +171,7 @@ TEST(DhtRouterTest, ResolveChainPromotesFirstLiveBackupAndLearns) {
 
   // A later lookup through the same sink starts past the learned backup:
   // the dead primary and first backup cost nothing the second time.
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, 13u);
   EXPECT_EQ(sink.timeouts, 2u);
 }
@@ -146,13 +182,13 @@ TEST(DhtRouterTest, ResolveChainMarksBrokenWhenExhausted) {
   policy.kill(12);
   policy.kill(13);
   LookupMetrics sink;
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, kNoNode);
   EXPECT_TRUE(sink.is_broken(10));
   EXPECT_EQ(sink.timeouts, 3u);
 
   // Consulted before re-probing: the second lookup charges nothing.
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, kNoNode);
   EXPECT_EQ(sink.timeouts, 3u);
 }
@@ -161,7 +197,7 @@ TEST(DhtRouterTest, ResolveChainHonoursLocallyBrokenFlag) {
   ChainPolicy policy;
   policy.locally_broken = true;
   LookupMetrics sink;
-  Router::run(policy, 1, sink);
+  route_one(policy, 1, sink);
   EXPECT_EQ(policy.resolved, kNoNode);
   EXPECT_EQ(sink.timeouts, 0u);  // short-circuits before any probe
 }
@@ -182,7 +218,7 @@ class BudgetPolicy : public FakePolicy {
 TEST(DhtRouterTest, FallbackBudgetFlipIsCountedOnce) {
   BudgetPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(sink.guard_fallbacks, 1u);
   EXPECT_EQ(result.hops, policy.fallback_budget() + 1);
@@ -203,7 +239,7 @@ class FinalHopPolicy : public FakePolicy {
 TEST(DhtRouterTest, ForwardDeliverSkipsTheReceiversView) {
   FinalHopPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.status, LookupStatus::kDelivered);
   EXPECT_EQ(result.destination, 9u);
@@ -237,7 +273,7 @@ TEST(DhtRouterTest, TraceRecordsEveryHop) {
   std::vector<TraceStep> trace;
   RouterOptions options;
   options.trace = &trace;
-  const LookupResult result = Router::run(policy, 1, sink, options);
+  const LookupResult result = route_one(policy, 1, sink, options);
   ASSERT_EQ(trace.size(), static_cast<std::size_t>(result.hops));
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_EQ(trace[0].node, 2u);
@@ -270,7 +306,7 @@ class VisitedPolicy : public FakePolicy {
 TEST(DhtRouterTest, VisitedTrackingIncludesSourceAndEveryHop) {
   VisitedPolicy policy;
   LookupMetrics sink;
-  const LookupResult result = Router::run(policy, 1, sink);
+  const LookupResult result = route_one(policy, 1, sink);
   EXPECT_TRUE(result.success);
   EXPECT_EQ(result.hops, 1);
 }
@@ -296,7 +332,39 @@ TEST(DhtRouterDeathTest, CountHopRejectsPhaseOutOfRange) {
 TEST(DhtRouterDeathTest, EngineTrapsPolicyWithOutOfRangePhase) {
   OutOfRangePhasePolicy policy;
   LookupMetrics sink;
-  EXPECT_DEATH(Router::run(policy, 1, sink), "Precondition");
+  EXPECT_DEATH(route_one(policy, 1, sink), "Precondition");
+}
+
+TEST(DhtRouterDeathTest, MaxHopsMustBePositive) {
+  // A policy whose default cap is not positive (and no override) violates
+  // the engine's precondition instead of routing without a cap.
+  class NoCapPolicy : public FakePolicy {
+   public:
+    int default_max_hops() const override { return 0; }
+  };
+  NoCapPolicy policy;
+  LookupMetrics sink;
+  EXPECT_DEATH(route_one(policy, 1, sink), "Precondition");
+}
+
+TEST(DhtRouterDeathTest, TracedBatchMustHoldOneLookup) {
+  // Lanes would interleave their hops in one trace vector, so a traced
+  // batch of more than one lookup traps — at any width, even 1.
+  const NodeHandle froms[] = {1, 2};
+  const KeyHash keys[] = {0, 0};
+  std::vector<TraceStep> trace;
+  RouterOptions options;
+  options.trace = &trace;
+  for (const int width : {1, 2}) {
+    LookupMetrics sink;
+    LookupResult results[2];
+    BatchScratch lanes;
+    EXPECT_DEATH(
+        Router::route_batch(froms, keys, 2, width, sink, results, lanes,
+                            options,
+                            [](NodeHandle, KeyHash) { return FakePolicy(); }),
+        "Precondition");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 // count — including the per-node query-load vector and, for Koorde, the
 // repair-on-timeout learnings. Also checks the const contract: a batch
 // never mutates the network it routes over, and the allocation contract:
-// a warmed-up lookup hot path (RouterScratch + dense query-load plane)
+// a warmed-up lookup hot path (BatchScratch + dense query-load plane)
 // performs zero heap allocations per lookup.
 #include "exp/workloads.hpp"
 
@@ -77,8 +77,9 @@ namespace {
 
 constexpr std::uint64_t kSeed = 0xDE7E12318A7C4ULL;
 
-std::uint64_t total_query_load(const dht::DhtNetwork& net) {
-  const auto loads = net.query_loads();
+std::uint64_t total_query_load(const dht::LookupMetrics& sink,
+                               const dht::DhtNetwork& net) {
+  const auto loads = sink.query_load_vector(net);
   return std::accumulate(loads.begin(), loads.end(), std::uint64_t{0});
 }
 
@@ -167,7 +168,10 @@ TEST(ParallelLookupBatch, BitIdenticalAcrossInterleaveWidthsAndThreads) {
   auto net = make_dense_overlay(OverlayKind::kCycloid7, 8, kSeed);  // 2048
 
   const std::uint64_t count = 3 * kLookupShardSize;
-  const auto seq = run_lookup_batch(*net, count, kSeed + 12, 1);
+  const auto seq = run_lookup_batch(*net, count, kSeed + 12, 1,
+                                    /*check_owner=*/true, /*width=*/1);
+  // The default width (kDefaultLookupWidth) is one more point of the grid.
+  expect_identical(seq, run_lookup_batch(*net, count, kSeed + 12, 1), *net);
   for (const int width : {2, 4, 8}) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE("W=" + std::to_string(width) +
@@ -188,84 +192,98 @@ TEST(ParallelLookupBatch, KoordeRepairLearningsSurviveInterleaveRequest) {
   net->fail_simultaneously(0.3, fail_rng);
 
   const std::uint64_t count = 2 * kLookupShardSize;
-  const auto seq = run_lookup_batch(*net, count, kSeed + 14, 1);
+  const auto seq = run_lookup_batch(*net, count, kSeed + 14, 1,
+                                    /*check_owner=*/true, /*width=*/1);
   const auto wide = run_lookup_batch(*net, count, kSeed + 14, 4,
                                      /*check_owner=*/true, 8);
   expect_identical(seq, wide, *net);
 }
 
-TEST(ParallelLookupBatch, ProcessWideInterleaveDefaultIsHonored) {
-  auto net = make_dense_overlay(OverlayKind::kChord, 7, kSeed);  // 896
-
-  const std::uint64_t count = kLookupShardSize + 100;
-  const auto seq = run_lookup_batch(*net, count, kSeed + 15, 1);
-
-  // interleave = 0 defers to the process-wide default (the bench knob).
-  set_lookup_interleave(4);
-  EXPECT_EQ(lookup_interleave(), 4);
-  const auto wide = run_lookup_batch(*net, count, kSeed + 15, 1);
-  expect_identical(seq, wide, *net);
-
-  // The setter clamps nonsense widths to the sequential path.
-  set_lookup_interleave(0);
-  EXPECT_EQ(lookup_interleave(), 1);
-  set_lookup_interleave(-3);
-  EXPECT_EQ(lookup_interleave(), 1);
-
-  // An explicit per-call width overrides whatever the process default is.
-  set_lookup_interleave(8);
-  const auto forced_seq = run_lookup_batch(*net, count, kSeed + 15, 1,
-                                           /*check_owner=*/true, 1);
-  expect_identical(seq, forced_seq, *net);
-  set_lookup_interleave(1);
-}
-
 TEST(ParallelLookupBatch, BatchDoesNotMutateTheNetwork) {
   auto net = make_dense_overlay(OverlayKind::kCycloid7, 7, kSeed);  // 896
-  net->reset_query_load();
+  const std::uint64_t maintenance = net->maintenance_metrics().total();
+  const std::vector<dht::NodeHandle> members = net->node_handles();
 
   const auto stats = run_lookup_batch(*net, 2 * kLookupShardSize, kSeed + 7, 4);
   EXPECT_GT(stats.metrics.hops, 0u);
 
-  // All accounting stayed in the caller-owned sink; the network-resident
-  // registry (served by the legacy adapters) saw none of it.
-  EXPECT_EQ(total_query_load(*net), 0u);
-  EXPECT_EQ(net->metrics().lookups.lookups, 0u);
+  // All accounting stayed in the caller-owned sink: every hop charged one
+  // received message there, and the network's own planes are untouched.
+  EXPECT_EQ(total_query_load(stats.metrics, *net), stats.metrics.hops);
+  EXPECT_EQ(net->maintenance_metrics().total(), maintenance);
+  EXPECT_EQ(net->node_handles(), members);
 
-  // The sequential convenience wrapper, by contrast, absorbs into the net.
+  // The mutating convenience wrapper is route() plus absorb(): with
+  // nothing learned, it reports exactly what route() does.
   util::Rng rng(kSeed + 8);
-  net->lookup(net->random_node(rng), rng());
-  EXPECT_EQ(net->metrics().lookups.lookups, 1u);
-  EXPECT_GT(total_query_load(*net), 0u);
+  const dht::NodeHandle from = net->random_node(rng);
+  const dht::KeyHash key = rng();
+  dht::LookupMetrics sink;
+  const dht::LookupResult routed = net->route(from, key, sink);
+  const dht::LookupResult wrapped = net->lookup(from, key);
+  EXPECT_EQ(wrapped.destination, routed.destination);
+  EXPECT_EQ(wrapped.hops, routed.hops);
+  EXPECT_EQ(total_query_load(sink, *net),
+            static_cast<std::uint64_t>(routed.hops));
+  EXPECT_EQ(net->maintenance_metrics().total(), maintenance);
 }
 
 // The allocation contract behind run_lookup_batch's throughput: once the
-// caller-owned RouterScratch buffers and the sink's dense query-load plane
-// have reached capacity, replaying the *same* lookup sequence allocates
-// nothing — on every overlay. The warm-up pass and the measured pass share
-// one RNG seed so the measured pass never needs more capacity than the
-// warm-up already provisioned.
+// caller-owned BatchScratch lane buffers and the sink's dense query-load
+// plane have reached capacity, replaying the *same* lookup batch allocates
+// nothing — on every overlay, one lane or many. The warm-up pass and the
+// measured pass route identical inputs, so the measured pass never needs
+// more capacity than the warm-up already provisioned.
 TEST(LookupAllocation, WarmedHotPathAllocatesNothingOnAnyOverlay) {
+  constexpr std::size_t kLookups = 256;
   for (const OverlayKind kind : extended_overlays()) {
+    auto net = make_sparse_overlay(kind, 8, 300, kSeed + 9);
+    std::vector<dht::NodeHandle> froms(kLookups);
+    std::vector<dht::KeyHash> keys(kLookups);
+    util::Rng rng(kSeed + 10);
+    for (std::size_t i = 0; i < kLookups; ++i) {
+      froms[i] = net->random_node(rng);
+      keys[i] = rng();
+    }
+    std::vector<dht::LookupResult> results(kLookups);
+    for (const int width : {1, kDefaultLookupWidth}) {
+      SCOPED_TRACE(overlay_label(kind) + " W=" + std::to_string(width));
+      dht::LookupMetrics sink;
+      dht::BatchScratch lanes;
+      net->route_batch(froms.data(), keys.data(), kLookups, width, sink,
+                       results.data(), lanes, dht::RouterOptions{});
+
+      const std::uint64_t before = allocation_count();
+      net->route_batch(froms.data(), keys.data(), kLookups, width, sink,
+                       results.data(), lanes, dht::RouterOptions{});
+      EXPECT_EQ(allocation_count() - before, 0u);
+    }
+  }
+}
+
+// route() is a batch of one whose single lane lives on the stack: it adds
+// no heap allocation of its own. Overlays whose policies push nothing into
+// the lane buffers on an intact network therefore route allocation-free
+// through a warmed sink.
+TEST(LookupAllocation, RouteBatchOfOneAllocatesNothingOfItsOwn) {
+  for (const OverlayKind kind :
+       {OverlayKind::kViceroy, OverlayKind::kChord, OverlayKind::kKoorde,
+        OverlayKind::kPastry}) {
     SCOPED_TRACE(overlay_label(kind));
     auto net = make_sparse_overlay(kind, 8, 300, kSeed + 9);
     dht::LookupMetrics sink;
-    dht::RouterScratch scratch;
-    dht::RouterOptions options;
-    options.scratch = &scratch;
-
     constexpr int kLookups = 256;
     {
       util::Rng warm_rng(kSeed + 10);
       for (int i = 0; i < kLookups; ++i) {
-        net->route(net->random_node(warm_rng), warm_rng(), sink, options);
+        net->route(net->random_node(warm_rng), warm_rng(), sink);
       }
     }
 
     util::Rng rng(kSeed + 10);  // identical stream: replay the warm-up
     const std::uint64_t before = allocation_count();
     for (int i = 0; i < kLookups; ++i) {
-      net->route(net->random_node(rng), rng(), sink, options);
+      net->route(net->random_node(rng), rng(), sink);
     }
     EXPECT_EQ(allocation_count() - before, 0u);
   }

@@ -247,14 +247,16 @@ TEST(KoordeDegree, RejectsIndivisibleDigitWidth) {
 TEST(KoordeQueryLoad, CountersSumToHops) {
   util::Rng rng(13);
   auto net = KoordeNetwork::build_random(10, 120, rng);
-  net->reset_query_load();
+  dht::LookupMetrics sink;
   std::uint64_t hops = 0;
   for (int i = 0; i < 400; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->route(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t received = 0;
-  for (const std::uint64_t load : net->query_loads()) received += load;
+  for (const std::uint64_t load : sink.query_load_vector(*net)) {
+    received += load;
+  }
   EXPECT_EQ(received, hops);
 }
 

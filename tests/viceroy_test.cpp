@@ -197,14 +197,16 @@ TEST(ViceroyQueryLoad, HigherLevelsAreNotHotter) {
   // Sanity for the Fig. 10 mechanism: load counters accumulate.
   util::Rng rng(13);
   auto net = ViceroyNetwork::build_random(128, rng);
-  net->reset_query_load();
+  dht::LookupMetrics sink;
   std::uint64_t hops = 0;
   for (int i = 0; i < 500; ++i) {
     hops += static_cast<std::uint64_t>(
-        net->lookup(net->random_node(rng), rng()).hops);
+        net->route(net->random_node(rng), rng(), sink).hops);
   }
   std::uint64_t received = 0;
-  for (const std::uint64_t load : net->query_loads()) received += load;
+  for (const std::uint64_t load : sink.query_load_vector(*net)) {
+    received += load;
+  }
   EXPECT_EQ(received, hops);
 }
 
