@@ -19,14 +19,24 @@ void LookupMetrics::note(const LookupResult& result) {
 }
 
 void LookupMetrics::bind(const DhtNetwork& net) {
-  if (net_ == &net) return;
+  if (net_ == &net) {
+    expect_current_epoch();
+    return;
+  }
   CYCLOID_EXPECTS(net_ == nullptr);  // one network per sink lifetime
   net_ = &net;
   slots_ = &net.slot_index();
+  epoch_ = net.membership_epoch();
   query_load_dense_.assign(net.node_count(), 0);
 }
 
+void LookupMetrics::expect_current_epoch() const {
+  // Slots are only stable between membership changes (swap-remove).
+  CYCLOID_EXPECTS(net_ == nullptr || epoch_ == net_->membership_epoch());
+}
+
 std::uint64_t LookupMetrics::query_load_of(NodeHandle node) const {
+  expect_current_epoch();
   std::uint64_t load = 0;
   if (slots_ != nullptr) {
     const std::size_t slot = slots_->lookup(node);
@@ -75,6 +85,7 @@ void LookupMetrics::merge(const LookupMetrics& other) {
 
 void LookupMetrics::merge_query_load(const LookupMetrics& other) {
   if (other.net_ != nullptr) {
+    other.expect_current_epoch();
     // A dense plane only means something against its network, so this
     // sink adopts the binding (bind traps on a second network). Shards of
     // one batch share the network: the planes add element-wise.

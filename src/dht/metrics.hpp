@@ -18,6 +18,7 @@
 
 #include "dht/slot_index.hpp"
 #include "dht/types.hpp"
+#include "util/contracts.hpp"
 
 namespace cycloid::dht {
 
@@ -59,12 +60,17 @@ class LookupMetrics {
   //
   // Contract: a sink binds to one network for its lifetime, and a bound
   // sink must not span membership changes — swap-remove reuses slots, so a
-  // leave+join between counts would misattribute load. Every driver in
-  // this repo already obeys this (batch sinks live inside one frozen-
-  // membership batch; the 2-arg lookup wrapper uses a fresh sink per lookup).
+  // leave+join between counts would misattribute load. bind records the
+  // network's membership_epoch(), and the cold paths that would read or
+  // extend the plane across a change trap when it has moved: the re-bind
+  // at the start of every route_batch, query_load_of/query_load_vector and
+  // merging a bound sink. Batch sinks live inside one frozen-membership
+  // batch; the 2-arg lookup wrapper uses a fresh sink per lookup.
 
   /// Bind the query-load plane to `net`'s dense slot index. Idempotent for
-  /// the same network; binding to a second network is a contract violation.
+  /// the same network while its membership is unchanged; binding to a
+  /// second network, or re-binding after a membership change, is a
+  /// contract violation.
   void bind(const DhtNetwork& net);
   bool bound() const noexcept { return slots_ != nullptr; }
 
@@ -127,13 +133,17 @@ class LookupMetrics {
 
  private:
   void charge_slot(std::size_t slot) {
-    if (slot >= query_load_dense_.size()) {
-      query_load_dense_.resize(slot + 1, 0);  // post-bind joins
-    }
+    // bind sized the plane to the membership it checked, and membership is
+    // frozen for the batch that charges it, so every slot is in range.
+    CYCLOID_ASSERT(slot < query_load_dense_.size());
     ++query_load_dense_[slot];
   }
 
   void merge_query_load(const LookupMetrics& other);
+
+  /// Trap when the bound network's membership moved since bind (no-op for
+  /// unbound sinks).
+  void expect_current_epoch() const;
 
   /// Bound network (cold path: the one-network check in bind, and the
   /// binding an unbound sink adopts on merge).
@@ -141,6 +151,8 @@ class LookupMetrics {
   /// The bound network's handle -> slot index (hot path; pointer to the
   /// index object itself, which outlives any rehash).
   const SlotIndex* slots_ = nullptr;
+  /// net_->membership_epoch() at bind time.
+  std::uint64_t epoch_ = 0;
   /// Query load by node slot (bound sinks).
   std::vector<std::uint64_t> query_load_dense_;
   /// Query load by handle (unbound sinks; handles unknown to the network).

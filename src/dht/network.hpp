@@ -107,11 +107,18 @@ class DhtNetwork {
   /// the index object, which outlives rehashes).
   const SlotIndex& slot_index() const { return handle_pos_; }
 
+  /// Number of membership changes so far: every register_handle and
+  /// unregister_handle bumps it, so any cache derived from the membership
+  /// (slot numbering, ring order) is current exactly while it is unchanged.
+  std::uint64_t membership_epoch() const noexcept { return membership_epoch_; }
+
   /// Handles of all live nodes (ascending identifier order). The base
   /// implementation sorts a copy of the dense handle registry, which is the
   /// identifier order for every overlay whose handles compare like its
   /// identifiers — all of them except Viceroy (handles there are join
-  /// serials; it overrides to walk its real-valued ring).
+  /// serials; it overrides to walk its real-valued ring). O(n log n) per
+  /// call: meant for once-per-pass callers; per-op consumers cache the
+  /// result per membership_epoch() (DhtStore, DESIGN.md §15).
   virtual std::vector<NodeHandle> node_handles() const {
     std::vector<NodeHandle> handles(handle_vec_);
     std::sort(handles.begin(), handles.end());
@@ -350,6 +357,7 @@ class DhtNetwork {
     maintainer_.metrics_for_registry().on_register(handle_vec_.size());
     handle_pos_.insert(node, handle_vec_.size());
     handle_vec_.push_back(node);
+    ++membership_epoch_;
   }
   void unregister_handle(NodeHandle node) {
     const std::size_t pos = handle_pos_.lookup(node);
@@ -361,6 +369,7 @@ class DhtNetwork {
     handle_pos_.set(moved, pos);
     handle_vec_.pop_back();
     handle_pos_.erase(node);
+    ++membership_epoch_;
   }
 
   /// Install the overlay's repair policy (every overlay constructor does
@@ -401,6 +410,8 @@ class DhtNetwork {
   /// stable slot identity behind slot_of/handle_at.
   std::vector<NodeHandle> handle_vec_;
   SlotIndex handle_pos_;
+  /// Bumped by every register_handle/unregister_handle.
+  std::uint64_t membership_epoch_ = 0;
   /// Between begin_bulk() and finish_bulk(): inserts defer table work.
   bool bulk_building_ = false;
   /// The mutation-plane engine (declared last; it only stores a reference

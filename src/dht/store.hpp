@@ -8,6 +8,10 @@
 // nodes, gets route from any source, and membership changes re-seat the
 // affected entries. It works unchanged over Cycloid, Chord, Koorde, and
 // Viceroy — the examples use it as the end-user API.
+//
+// Each put or get costs one route plus O(replicas): an entry keeps its key
+// hash, and the ring order that replica placement walks is cached per
+// membership epoch (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -65,17 +69,29 @@ class DhtStore {
  private:
   struct Entry {
     std::string value;
+    KeyHash hash = 0;                 // hash::hash_name(key), computed once
     std::vector<NodeHandle> holders;  // holders[0] is the primary owner
   };
 
-  /// Owner plus replicas-1 distinct follower nodes, resolved from the
-  /// current membership.
-  std::vector<NodeHandle> replica_set(const std::string& key) const;
+  /// Fill `holders` with the owner of `hash` plus replicas-1 distinct
+  /// follower nodes, resolved from the current membership: one owner_of
+  /// plus O(replicas) over the cached ring.
+  void place(KeyHash hash, std::vector<NodeHandle>& holders);
+
+  /// Rebuild ring_ and ring_pos_ if the membership changed since they were
+  /// taken (O(n log n) once per membership epoch, O(1) otherwise).
+  void sync_ring();
 
   DhtNetwork& net_;
   int replicas_;
   std::map<std::string, Entry> directory_;
   util::Rng rng_;
+  /// node_handles() as of membership epoch ring_epoch_, and each live
+  /// node's index in it by slot: ring_[ring_pos_[slot_of(h)]] == h. Both
+  /// start empty, which is current at epoch 0 (no node registered yet).
+  std::vector<NodeHandle> ring_;
+  std::vector<std::uint32_t> ring_pos_;
+  std::uint64_t ring_epoch_ = 0;
 };
 
 }  // namespace cycloid::dht

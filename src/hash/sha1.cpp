@@ -47,18 +47,21 @@ void Sha1::update(const void* data, std::size_t length) noexcept {
 Sha1::Digest Sha1::finish() noexcept {
   const std::uint64_t bit_length = total_bytes_ * 8;
 
-  // Append the 0x80 terminator, zero padding, and the 64-bit length.
-  const std::uint8_t terminator = 0x80;
-  update(&terminator, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
-
-  std::array<std::uint8_t, 8> length_bytes{};
-  for (int i = 0; i < 8; ++i) {
-    length_bytes[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  // Pad the buffered tail in place: the 0x80 terminator, zeros up to byte
+  // 56 of a block (spilling into one more block when the tail is longer
+  // than 55 bytes), then the 64-bit big-endian bit length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_.data() + buffered_, 0, buffer_.size() - buffered_);
+    process_block(buffer_.data());
+    buffered_ = 0;
   }
-  update(length_bytes.data(), length_bytes.size());
+  std::memset(buffer_.data() + buffered_, 0, 56 - buffered_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_length >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
+  buffered_ = 0;
 
   Digest out{};
   for (std::size_t i = 0; i < state_.size(); ++i) {

@@ -268,5 +268,45 @@ TEST(SinkBindingDeathTest, MergingASinkBoundToAnotherNetworkTraps) {
   EXPECT_DEATH(on_first.merge(on_second), "Precondition");
 }
 
+// A bound sink records the membership epoch: slots are only stable between
+// membership changes, so every later use that would read or extend the
+// plane across a change traps.
+
+TEST(MembershipEpoch, EveryRegistryChangeBumpsIt) {
+  util::Rng rng(0x5153);
+  auto net = chord::ChordNetwork::build_random(10, 20, rng);
+  const std::uint64_t built = net->membership_epoch();
+  EXPECT_GE(built, 20u);
+  net->stabilize_all();
+  EXPECT_EQ(net->membership_epoch(), built);
+  const NodeHandle joined = net->join(0x77);
+  ASSERT_NE(joined, kNoNode);
+  EXPECT_EQ(net->membership_epoch(), built + 1);
+  net->leave(joined);
+  EXPECT_EQ(net->membership_epoch(), built + 2);
+}
+
+TEST(SinkBindingDeathTest, RoutingThroughABoundSinkAfterAJoinTraps) {
+  util::Rng rng(0x5154);
+  auto net = chord::ChordNetwork::build_random(10, 20, rng);
+  LookupMetrics sink;
+  net->route(net->random_node(rng), rng(), sink);
+  ASSERT_NE(net->join(0x78), kNoNode);
+  EXPECT_DEATH(net->route(net->random_node(rng), rng(), sink), "Precondition");
+}
+
+TEST(SinkBindingDeathTest, ReadingOrMergingAStaleSinkTraps) {
+  util::Rng rng(0x5155);
+  auto net = chord::ChordNetwork::build_random(10, 20, rng);
+  const NodeHandle from = net->random_node(rng);
+  LookupMetrics sink;
+  net->route(from, rng(), sink);
+  net->leave(net->random_node(rng));
+  EXPECT_DEATH(sink.query_load_of(from), "Precondition");
+  EXPECT_DEATH(sink.query_load_vector(*net), "Precondition");
+  LookupMetrics merged;
+  EXPECT_DEATH(merged.merge(sink), "Precondition");
+}
+
 }  // namespace
 }  // namespace cycloid::dht

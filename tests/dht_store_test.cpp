@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "core/network.hpp"
 #include "exp/overlays.hpp"
 #include "hash/keys.hpp"
@@ -182,6 +185,175 @@ TEST(DhtStore, GetReportsLookupCost) {
   EXPECT_GE(result.hops, 0);
   EXPECT_EQ(result.destination, net->owner_of(hash::hash_name("k")));
 }
+
+// ---------------------------------------------------------------------
+// Differential test: the store's cached-ring placement against placement
+// recomputed from scratch — node_handles(), a linear search for the owner,
+// then alternating ring neighbours — over membership churn on every
+// overlay.
+
+constexpr int kReplicas = 3;
+
+std::vector<NodeHandle> reference_holders(const DhtNetwork& net,
+                                          const std::string& key) {
+  const NodeHandle owner = net.owner_of(hash::hash_name(key));
+  const std::vector<NodeHandle> ring = net.node_handles();
+  const auto it = std::find(ring.begin(), ring.end(), owner);
+  EXPECT_NE(it, ring.end());
+  const std::size_t base = static_cast<std::size_t>(it - ring.begin());
+  const std::size_t n = ring.size();
+  const std::size_t want = std::min<std::size_t>(kReplicas, n);
+  std::vector<NodeHandle> holders = {owner};
+  for (std::size_t offset = 1; holders.size() < want; ++offset) {
+    holders.push_back(ring[(base + offset) % n]);
+    if (holders.size() < want) holders.push_back(ring[(base + n - offset) % n]);
+  }
+  std::sort(holders.begin(), holders.end());
+  return holders;
+}
+
+/// The live nodes holding a copy of a single-key store's key, read through
+/// keys_on (a node appears once per copy it holds).
+std::vector<NodeHandle> holders_via_keys_on(const DhtStore& store,
+                                            const DhtNetwork& net) {
+  std::vector<NodeHandle> holders;
+  for (const NodeHandle h : net.node_handles()) {
+    for (std::size_t c = store.keys_on(h); c > 0; --c) holders.push_back(h);
+  }
+  std::sort(holders.begin(), holders.end());
+  return holders;
+}
+
+class StoreDifferentialTest
+    : public ::testing::TestWithParam<exp::OverlayKind> {
+ protected:
+  void SetUp() override {
+    net_ = exp::make_sparse_overlay(GetParam(), 7, 64, 0x5e7);
+    shared_ = std::make_unique<DhtStore>(*net_, kReplicas);
+    for (int i = 0; i < 32; ++i) {
+      keys_.push_back("key-" + std::to_string(i));
+      single_.push_back(std::make_unique<DhtStore>(*net_, kReplicas));
+      single_.back()->put(keys_.back(), "v");
+      shared_->put(keys_.back(), "v");
+    }
+  }
+
+  /// rebalance every store, then compare each key's holders with the
+  /// reference and check the shared store's primary-load total.
+  void rebalance_and_check(const std::string& step) {
+    SCOPED_TRACE(step);
+    shared_->rebalance();
+    std::vector<std::size_t> expected_on(net_->node_count(), 0);
+    for (std::size_t i = 0; i < keys_.size(); ++i) {
+      single_[i]->rebalance();
+      const std::vector<NodeHandle> expected =
+          reference_holders(*net_, keys_[i]);
+      EXPECT_EQ(holders_via_keys_on(*single_[i], *net_), expected) << keys_[i];
+      for (const NodeHandle h : expected) ++expected_on[net_->slot_of(h)];
+    }
+    for (const NodeHandle h : net_->node_handles()) {
+      EXPECT_EQ(shared_->keys_on(h), expected_on[net_->slot_of(h)]);
+    }
+    std::uint64_t primaries = 0;
+    for (const std::uint64_t load : shared_->primary_load()) primaries += load;
+    EXPECT_EQ(primaries, shared_->key_count());
+    EXPECT_EQ(shared_->key_count(), keys_.size());
+  }
+
+  /// Track one more key, named so that `node` owns it.
+  void add_key_owned_by(NodeHandle node) {
+    for (int i = 0;; ++i) {
+      const std::string key = "owned-" + std::to_string(i);
+      if (net_->owner_of(hash::hash_name(key)) != node) continue;
+      keys_.push_back(key);
+      single_.push_back(std::make_unique<DhtStore>(*net_, kReplicas));
+      single_.back()->put(key, "v");
+      shared_->put(key, "v");
+      return;
+    }
+  }
+
+  NodeHandle join_fresh() {
+    for (;;) {
+      const std::uint64_t seed = next_seed_++;
+      const NodeHandle joined = net_->join(seed);
+      if (joined != kNoNode) {
+        last_join_seed_ = seed;
+        return joined;
+      }
+    }
+  }
+
+  std::unique_ptr<DhtNetwork> net_;
+  std::unique_ptr<DhtStore> shared_;
+  std::vector<std::unique_ptr<DhtStore>> single_;
+  std::vector<std::string> keys_;
+  std::uint64_t next_seed_ = 0x10000;
+  std::uint64_t last_join_seed_ = 0;
+};
+
+TEST_P(StoreDifferentialTest, PlacementMatchesReferenceThroughChurn) {
+  util::Rng rng(0x5e8);
+  rebalance_and_check("built");
+
+  for (int i = 0; i < 3; ++i) join_fresh();
+  rebalance_and_check("joins");
+
+  for (int i = 0; i < 3; ++i) net_->leave(net_->random_node(rng));
+  rebalance_and_check("leaves");
+
+  net_->fail_ungraceful(0.1, rng);
+  net_->stabilize_all();
+  rebalance_and_check("ungraceful failures + stabilize_all");
+
+  // Leave and reinsert the same identifier from a slot short of the
+  // registry's tail: slots move, node_count does not, and the membership
+  // epoch still invalidates the ring cache. The rejoiner owns a tracked
+  // key, so a stale slot -> ring index would misplace that key.
+  const NodeHandle rejoiner = join_fresh();
+  const std::uint64_t seed = last_join_seed_;
+  join_fresh();
+  add_key_owned_by(rejoiner);
+  rebalance_and_check("rejoiner joined");
+  const std::size_t count = net_->node_count();
+  const std::size_t slot = net_->slot_of(rejoiner);
+  net_->leave(rejoiner);
+  const NodeHandle back = net_->join(seed);
+  ASSERT_NE(back, kNoNode);
+  ASSERT_EQ(net_->node_count(), count);
+  EXPECT_NE(net_->slot_of(back), slot);
+  rebalance_and_check("leave then reinsert");
+}
+
+TEST_P(StoreDifferentialTest, PutAfterJoinUsesTheNewRingWithoutRebalance) {
+  // The store caches its ring on this put; the join then moves the epoch.
+  DhtStore store(*net_, kReplicas);
+  store.put("warm", "v");
+  const NodeHandle joined = join_fresh();
+
+  // A key the joined node must hold: a stale ring cannot place it there.
+  std::string key;
+  for (int i = 0;; ++i) {
+    key = "probe-" + std::to_string(i);
+    const std::vector<NodeHandle> expected = reference_holders(*net_, key);
+    if (std::find(expected.begin(), expected.end(), joined) != expected.end()) {
+      break;
+    }
+  }
+  ASSERT_TRUE(store.erase("warm"));
+  store.put(key, "v");
+  EXPECT_EQ(holders_via_keys_on(store, *net_), reference_holders(*net_, key));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllOverlays, StoreDifferentialTest,
+                         ::testing::ValuesIn(exp::extended_overlays()),
+                         [](const auto& info) {
+                           std::string label = exp::overlay_label(info.param);
+                           for (char& c : label) {
+                             if (c == '-') c = '_';
+                           }
+                           return label;
+                         });
 
 }  // namespace
 }  // namespace cycloid::dht

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "hash/keys.hpp"
 #include "hash/sha1.hpp"
@@ -73,6 +74,39 @@ TEST(Sha1, Digest64MatchesDigestPrefix) {
   std::uint64_t expected = 0;
   for (int i = 0; i < 8; ++i) expected = (expected << 8) | digest[static_cast<std::size_t>(i)];
   EXPECT_EQ(Sha1::digest64("node-17"), expected);
+}
+
+TEST(Sha1, PaddingBoundaries) {
+  // Tails of 55 bytes (padding fits the block), 56 and 63 (padding spills
+  // into one more block) and 64, one block later again at 119/120.
+  const std::pair<std::size_t, const char*> cases[] = {
+      {55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"},
+      {56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"},
+      {63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"},
+      {64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"},
+      {119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"},
+      {120, "f34c1488385346a55709ba056ddd08280dd4c6d6"},
+  };
+  for (const auto& [length, hex] : cases) {
+    EXPECT_EQ(Sha1::to_hex(Sha1::digest(std::string(length, 'a'))), hex)
+        << "length=" << length;
+  }
+}
+
+TEST(Sha1, Digest64MatchesStreamingDigestAtEveryLength) {
+  // Covers names whose padding fits their last block (<= 55 tail bytes),
+  // the 56..63-byte tails whose padding spills into one more block, the
+  // exact 64-byte block and multi-block names.
+  std::string text;
+  for (std::size_t length = 0; length <= 130; ++length) {
+    Sha1 hasher;
+    hasher.update(text);
+    const Sha1::Digest digest = hasher.finish();
+    std::uint64_t expected = 0;
+    for (std::size_t i = 0; i < 8; ++i) expected = (expected << 8) | digest[i];
+    EXPECT_EQ(Sha1::digest64(text), expected) << "length=" << length;
+    text.push_back(static_cast<char>('a' + length % 26));
+  }
 }
 
 TEST(Keys, HashNameIsDeterministic) {
