@@ -12,9 +12,16 @@ how fast or slow the CI host is.
 Usage:
   scripts/perf_compare.py BENCH_lookups.json                # compare
   scripts/perf_compare.py BENCH_lookups.json --update       # refresh baseline
+  scripts/perf_compare.py run1.json run2.json run3.json --update
   scripts/perf_compare.py BENCH_lookups.json \
       --baseline bench/baselines/BENCH_lookups.json \
       --tolerance 0.20
+
+A single-run cell is noisy (the n = 2^11 cells time about 66 ms each), so
+refresh the baseline from several runs: given more than one candidate,
+--update writes the first run's document with each overlay's single-thread
+throughput replaced by its median over the runs that hold its section (so
+quick n = 2^11 runs can add samples to full runs listed first).
 
 Exit status: 0 on pass (including "no baseline yet" and "no overlapping
 sections"), 1 when any overlay's normalized throughput regressed by more
@@ -30,6 +37,7 @@ import argparse
 import json
 import math
 import shutil
+import statistics
 import sys
 
 # The sections holding the per-overlay single-thread runs; the interleave
@@ -83,6 +91,57 @@ def throughput_by_section(report, path):
     return sections
 
 
+def write_median_baseline(paths, baseline_path):
+    """Write the first report with every overlay's single-thread throughput
+    replaced by its median over the reports holding its section."""
+    reports = [load_report(path) for path in paths]
+    runs = [throughput_by_section(report, path)
+            for report, path in zip(reports, paths)]
+    merged = reports[0]
+    for section in merged.get("sections", []):
+        title = section.get("title", "")
+        if title not in runs[0]:
+            continue
+        columns = section["columns"]
+        overlay_idx = columns.index(OVERLAY_COLUMN)
+        value_idx = columns.index(VALUE_COLUMN)
+        for row in section["rows"]:
+            overlay = str(row[overlay_idx])
+            values = [run[title].get(overlay) for run in runs
+                      if title in run]
+            if None in values:
+                sys.exit(f"perf_compare: '{title}' | {overlay} is missing "
+                         "from some runs")
+            row[value_idx] = round(statistics.median(values))
+    merged.setdefault("notes", []).append(
+        f"Baseline: the first '{VALUE_COLUMN}' column holds each overlay's "
+        f"median over the runs that hold its section ({len(paths)} runs "
+        "merged); every other column is from the first run.")
+    # Same layout as bench::Report --json (one line per row), so a refresh
+    # diffs row by row.
+    dump = json.dumps
+    lines = ["{"]
+    lines += [f"  {dump(key)}: {dump(value)},"
+              for key, value in merged.items()
+              if key not in ("sections", "notes")]
+    lines.append('  "sections": [')
+    sections = merged.get("sections", [])
+    for i, section in enumerate(sections):
+        lines.append(f'    {{"title": {dump(section["title"])}, '
+                     f'"columns": {dump(section["columns"])},')
+        lines.append('     "rows": [')
+        rows = section["rows"]
+        lines += [f"       {dump(row, ensure_ascii=False)}"
+                  f"{',' if j + 1 < len(rows) else ''}"
+                  for j, row in enumerate(rows)]
+        lines.append(f"     ]}}{',' if i + 1 < len(sections) else ''}")
+    lines.append("  ],")
+    lines.append(f'  "notes": {dump(merged["notes"], ensure_ascii=False)}')
+    lines.append("}")
+    with open(baseline_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def normalize(rows):
     """Each overlay's throughput divided by the section's geometric mean."""
     log_mean = sum(math.log(v) for v in rows.values()) / len(rows)
@@ -94,7 +153,9 @@ def main():
     parser = argparse.ArgumentParser(
         description="Diff BENCH_lookups.json against the committed baseline "
                     "(geometric-mean-normalized per-overlay throughput).")
-    parser.add_argument("candidate", help="freshly generated BENCH_lookups.json")
+    parser.add_argument("candidates", nargs="+", metavar="candidate",
+                        help="freshly generated BENCH_lookups.json (several "
+                             "only with --update)")
     parser.add_argument("--baseline",
                         default="bench/baselines/BENCH_lookups.json",
                         help="committed baseline document (default: "
@@ -109,20 +170,29 @@ def main():
     args = parser.parse_args()
     if not 0.0 < args.tolerance < 1.0:
         parser.error("--tolerance must be in (0, 1)")
+    if len(args.candidates) > 1 and not args.update:
+        parser.error("several candidates are only accepted with --update")
 
-    candidate = load_report(args.candidate)
-    if candidate is None:
-        sys.exit(f"perf_compare: candidate {args.candidate} does not exist")
-    candidate_sections = throughput_by_section(candidate, args.candidate)
-    if not candidate_sections:
-        sys.exit(f"perf_compare: {args.candidate}: no '{SECTION_PREFIX}...' "
-                 "sections found")
+    for path in args.candidates:
+        report = load_report(path)
+        if report is None:
+            sys.exit(f"perf_compare: candidate {path} does not exist")
+        if not throughput_by_section(report, path):
+            sys.exit(f"perf_compare: {path}: no '{SECTION_PREFIX}...' "
+                     "sections found")
 
     if args.update:
-        shutil.copyfile(args.candidate, args.baseline)
+        if len(args.candidates) == 1:
+            shutil.copyfile(args.candidates[0], args.baseline)
+        else:
+            write_median_baseline(args.candidates, args.baseline)
         print(f"perf_compare: baseline {args.baseline} updated from "
-              f"{args.candidate}")
+              f"{', '.join(args.candidates)}")
         return 0
+
+    candidate_path = args.candidates[0]
+    candidate_sections = throughput_by_section(load_report(candidate_path),
+                                               candidate_path)
 
     baseline = load_report(args.baseline)
     if baseline is None:

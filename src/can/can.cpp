@@ -25,6 +25,18 @@ bool intervals_abut_torus(const Interval& a, const Interval& b) {
   return false;
 }
 
+/// Insert `h` into the ascending list `list` (no-op when present).
+void insert_sorted(std::vector<NodeHandle>& list, NodeHandle h) {
+  const auto it = std::lower_bound(list.begin(), list.end(), h);
+  if (it == list.end() || *it != h) list.insert(it, h);
+}
+
+/// Erase `h` from the ascending list `list` (no-op when absent).
+void erase_sorted(std::vector<NodeHandle>& list, NodeHandle h) {
+  const auto it = std::lower_bound(list.begin(), list.end(), h);
+  if (it != list.end() && *it == h) list.erase(it);
+}
+
 double torus_axis_distance(double x, const Interval& iv) {
   if (x >= iv.lo && x < iv.hi) return 0.0;
   // Distance to the nearer edge, the short way around the circle.
@@ -213,16 +225,16 @@ void CanNetwork::relink(NodeHandle handle,
   // Drop this node from its previous neighbours' sets, then re-evaluate
   // adjacency against the candidate set.
   for (const NodeHandle old : node->neighbors) {
-    if (CanNode* other = node_of(old)) other->neighbors.erase(handle);
+    if (CanNode* other = node_of(old)) erase_sorted(other->neighbors, handle);
   }
   node->neighbors.clear();
-  for (const NodeHandle cand : candidates) {
+  for (const NodeHandle cand : candidates) {  // ascending: push_back sorts
     if (cand == handle) continue;
     CanNode* other = node_of(cand);
     if (other == nullptr) continue;
     if (nodes_adjacent(*node, *other)) {
-      node->neighbors.insert(cand);
-      other->neighbors.insert(handle);
+      node->neighbors.push_back(cand);
+      insert_sorted(other->neighbors, handle);
     }
   }
 }
@@ -310,7 +322,8 @@ NodeHandle CanNetwork::join_at(const Point& point) {
   }
 
   // Adjacency can only change among the owner's old neighbourhood.
-  std::set<NodeHandle> candidates = owner->neighbors;
+  std::set<NodeHandle> candidates(owner->neighbors.begin(),
+                                  owner->neighbors.end());
   candidates.insert(owner_handle);
   candidates.insert(handle);
   owner = nullptr;  // invalidated by the emplace below
@@ -326,7 +339,7 @@ void CanNetwork::unlink(NodeHandle handle) {
   CanNode* node = node_of(handle);
   CYCLOID_EXPECTS(node != nullptr);
   for (const NodeHandle n : node->neighbors) {
-    if (CanNode* other = node_of(n)) other->neighbors.erase(handle);
+    if (CanNode* other = node_of(n)) erase_sorted(other->neighbors, handle);
   }
   destroy_node(handle);
 }
@@ -376,9 +389,7 @@ class CanStepPolicy final : public dht::StepPolicy {
 
   void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const override {
-    // Stage 2: next_hop's owner check walks the zone list — warm it. The
-    // neighbor set is a node-based std::set whose elements are scattered on
-    // the heap; no single prefetch covers it.
+    // Stage 2: next_hop's owner check walks the zone list — warm it.
     const CanNode& cur = net_.node_at(slot);
     util::prefetch_lines(cur.zones.data(),
                          cur.zones.size() * sizeof(cur.zones[0]));
@@ -457,8 +468,9 @@ void CanNetwork::depart_gracefully(NodeHandle node) {
   CYCLOID_ASSERT(heir != kNoNode);  // zones tile: every node has neighbours
   CanNode* recipient = node_of(heir);
 
-  std::set<NodeHandle> candidates = leaver->neighbors;
-  for (const NodeHandle n : recipient->neighbors) candidates.insert(n);
+  std::set<NodeHandle> candidates(leaver->neighbors.begin(),
+                                  leaver->neighbors.end());
+  candidates.insert(recipient->neighbors.begin(), recipient->neighbors.end());
   candidates.insert(heir);
 
   for (const Zone& zone : leaver->zones) recipient->zones.push_back(zone);
@@ -484,8 +496,12 @@ bool CanNetwork::check_invariants() const {
       if (sa == sb) continue;
       const CanNode& b = node_at(sb);
       const bool geometric = nodes_adjacent(a, b);
-      const bool listed = a.neighbors.contains(handle_at(sb));
-      const bool listed_back = b.neighbors.contains(handle_at(sa));
+      const bool listed =
+          std::binary_search(a.neighbors.begin(), a.neighbors.end(),
+                             handle_at(sb));
+      const bool listed_back =
+          std::binary_search(b.neighbors.begin(), b.neighbors.end(),
+                             handle_at(sa));
       if (geometric != listed || listed != listed_back) return false;
     }
   }

@@ -47,8 +47,8 @@ struct Zone {
 using Point = std::array<double, kMaxDims>;
 
 struct CanNode {
-  std::vector<Zone> zones;               // usually one; more after takeovers
-  std::set<dht::NodeHandle> neighbors;   // zone-contiguous nodes
+  std::vector<Zone> zones;                 // usually one; more after takeovers
+  std::vector<dht::NodeHandle> neighbors;  // zone-contiguous nodes, ascending
 };
 
 class CanNetwork final : public dht::ArenaNetwork<CanNode> {

@@ -192,7 +192,8 @@ class MaintenanceMetrics {
 ///    bulk mode only (finish_bulk's run_pass covers bulk builds).
 ///  - on_graceful_leave unlinks `node` and performs the protocol's
 ///    departure notifications/repairs.
-///  - on_vanish unlinks `node` and repairs nothing (silent departure).
+///  - on_vanish unlinks `node` and repairs nothing (silent departure),
+///    except under repairs_eagerly() (below).
 ///  - on_mass_leave is the per-victim step of fail_simultaneously; the
 ///    default (on_vanish) fits overlays that defer mass repair to
 ///    repair_after_mass_leave, which runs once after all victims are gone.
@@ -203,7 +204,10 @@ class MaintenanceMetrics {
 ///  - repairs_eagerly() == true declares that every membership change
 ///    repairs all affected state inline (no stale entries), which makes
 ///    ungraceful departures indistinguishable from graceful ones; the
-///    engine then degrades fail_ungraceful to graceful semantics.
+///    engine then degrades fail_ungraceful to graceful semantics. An
+///    eagerly repairing policy must also repair inline in on_vanish and
+///    on_mass_leave: a mass departure still calls on_mass_leave (by
+///    default on_vanish) for each victim.
 class MaintenancePolicy {
  public:
   virtual ~MaintenancePolicy() = default;

@@ -1,5 +1,7 @@
 #include "viceroy/viceroy.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "hash/keys.hpp"
@@ -12,6 +14,7 @@ namespace {
 using dht::kNoNode;
 using dht::LookupResult;
 using dht::NodeHandle;
+using Index = std::map<double, NodeHandle>;
 
 /// Clockwise distance from a to b on the unit ring.
 double cw(double a, double b) noexcept {
@@ -19,15 +22,41 @@ double cw(double a, double b) noexcept {
   return d >= 0.0 ? d : d + 1.0;
 }
 
+/// Anchor of a level-`level` node's down-right link: id + 2^-level, wrapped
+/// into [0, 1).
+double right_anchor(double id, int level) noexcept {
+  const double anchor = id + std::ldexp(1.0, -level);
+  return anchor >= 1.0 ? anchor - 1.0 : anchor;
+}
+
+double wrap_unit(double v) noexcept { return v - std::floor(v); }
+
+/// Append every member of `index` whose id lies in the clockwise window
+/// (lo, hi]; lo == hi selects the whole index.
+void append_window(const Index& index, double lo, double hi,
+                   std::vector<NodeHandle>& out) {
+  const auto take = [&out](Index::const_iterator it,
+                           Index::const_iterator end) {
+    for (; it != end; ++it) out.push_back(it->second);
+  };
+  if (lo < hi) {
+    take(index.upper_bound(lo), index.upper_bound(hi));
+  } else {
+    take(index.upper_bound(lo), index.end());
+    take(index.begin(), index.upper_bound(hi));
+  }
+}
+
 }  // namespace
 
 /// Viceroy's repair rules: every join and leave updates both outgoing AND
 /// incoming connections immediately (the eager maintenance the paper's
 /// conclusion criticizes), so nothing ever goes stale — repairs_eagerly()
-/// is true, mass departures (graceful or not) reduce to plain unlinks, and
-/// a refresh has nothing to do. The 7 + referencers charge models the
-/// messages those eager updates cost; counting the incoming side scans the
-/// membership, so it stays off unless accounting is enabled.
+/// is true and mass departures (graceful or not) repair like single ones.
+/// Each event re-resolves exactly its link candidates (DESIGN.md §16), so
+/// every stored link equals a fresh resolve_links. The 7 + referencers
+/// charge models the messages those eager updates cost; it stays off unless
+/// accounting is enabled.
 class ViceroyMaintenancePolicy final : public dht::MaintenancePolicy {
  public:
   explicit ViceroyMaintenancePolicy(ViceroyNetwork& net) : net_(net) {}
@@ -35,39 +64,46 @@ class ViceroyMaintenancePolicy final : public dht::MaintenancePolicy {
   bool repairs_eagerly() const override { return true; }
 
   void on_join(NodeHandle node) override {
+    const std::vector<NodeHandle> candidates = net_.link_candidates(node);
+    net_.store_links(node);
+    for (const NodeHandle other : candidates) net_.store_links(other);
     if (net_.count_maintenance_) {
       // The newcomer establishes its 7 links and every node whose links now
-      // resolve to it must be told (Viceroy updates incoming connections).
-      net_.note_maintenance(node, 7 + net_.count_referencers(node));
+      // point at it must be told (Viceroy updates incoming connections).
+      net_.note_maintenance(node,
+                            7 + net_.count_referencers(node, candidates));
     }
   }
 
   void on_graceful_leave(NodeHandle node) override {
-    CYCLOID_EXPECTS(net_.contains(node));
-    // Departing Viceroy nodes update all incoming and outgoing connections;
-    // links are resolved from the live membership, so removal is complete.
-    if (net_.count_maintenance_) {
-      net_.note_maintenance(node, 7 + net_.count_referencers(node));
-    }
-    net_.unlink(node);
+    // Departing Viceroy nodes update all incoming and outgoing connections.
+    depart(node, net_.count_maintenance_);
   }
-
-  void on_vanish(NodeHandle node) override { net_.unlink(node); }
 
   // Mass departures take the default on_mass_leave -> on_vanish path: the
-  // simultaneous-failure experiment drops the victims without charging
-  // (links re-resolve from whatever membership remains).
+  // simultaneous-failure experiment repairs each victim's candidates but
+  // charges nothing.
+  void on_vanish(NodeHandle node) override { depart(node, false); }
 
-  void refresh(NodeHandle) override {
-    // Links are maintained eagerly on every join/leave; nothing to refresh.
-  }
+  void refresh(NodeHandle node) override { net_.store_links(node); }
 
-  // dirty() keeps the base no-op: Viceroy stores no derived per-node state
-  // at all (level links resolve against the live membership on every read),
-  // so no membership event can leave any node's refresh output stale and
-  // there is never anything to enqueue for run_incremental.
+  // dirty() keeps the base no-op: refresh re-resolves a node's stored
+  // links, but every join and leave already re-resolved each node whose
+  // links it changed, so refresh output never differs from the stored
+  // state and there is never anything to enqueue for run_incremental.
 
  private:
+  void depart(NodeHandle node, bool charge) {
+    // The candidate windows are read with the leaver still a member.
+    const std::vector<NodeHandle> candidates = net_.link_candidates(node);
+    if (charge) {
+      net_.note_maintenance(node,
+                            7 + net_.count_referencers(node, candidates));
+    }
+    net_.unlink(node);
+    for (const NodeHandle other : candidates) net_.store_links(other);
+  }
+
   ViceroyNetwork& net_;
 };
 
@@ -81,8 +117,8 @@ std::unique_ptr<ViceroyNetwork> ViceroyNetwork::build_random(std::size_t count,
   auto net = std::make_unique<ViceroyNetwork>();
   CYCLOID_EXPECTS(count >= 1);
   const int max_level = std::max(1, util::ceil_log2(count));
-  // Bulk brackets for uniformity with the other builders; Viceroy has no
-  // per-insert table work to defer, and the stabilize pass is a no-op.
+  // Inserts under bulk mode skip link repair; finish_bulk's pass resolves
+  // every node's links once.
   net->begin_bulk();
   while (net->node_count() < count) {
     const double id = rng.uniform01();
@@ -109,17 +145,69 @@ bool ViceroyNetwork::insert(double id, int level) {
   return true;
 }
 
-std::uint64_t ViceroyNetwork::count_referencers(NodeHandle handle) const {
-  std::uint64_t referencers = 0;
-  for (const auto& [id, other] : ring_) {
-    if (other == handle) continue;
-    const ViceroyLinks links = links_of(other);
-    if (links.ring_pred == handle || links.ring_succ == handle ||
-        links.level_prev == handle || links.level_next == handle ||
-        links.down_left == handle || links.down_right == handle ||
-        links.up == handle) {
-      ++referencers;
+std::vector<NodeHandle> ViceroyNetwork::link_candidates(
+    NodeHandle handle) const {
+  // Every link is the first member of a sorted set at-or-after (or strictly
+  // before) an anchor, so adding or removing X changes only the links whose
+  // answer becomes, or was, X (DESIGN.md §16).
+  const ViceroyNode& node = node_state(handle);
+  const double x = node.id;
+  const int level = node.level;
+  std::vector<NodeHandle> out;
+
+  // General-ring and level-ring neighbours.
+  const auto neighbours = [&out](const Index& index, double id) {
+    const auto self = index.find(id);
+    CYCLOID_ASSERT(self != index.end());
+    const auto next = std::next(self);
+    out.push_back(next == index.end() ? index.begin()->second : next->second);
+    const auto prev = self == index.begin() ? std::prev(index.end())
+                                            : std::prev(self);
+    out.push_back(prev->second);
+    return prev->first;
+  };
+  if (ring_.size() > 1) neighbours(ring_, x);
+  const Index& peers = levels_.at(level);
+  const bool alone = peers.size() == 1;
+  // X's level predecessor p; nodes anchored in (p, x] resolve to X. When X
+  // is alone on its level, p = x and the windows cover whole levels.
+  const double p = alone ? x : neighbours(peers, x);
+
+  // Level l-1 down links: down-left anchors at id, down-right at
+  // id + 2^-(l-1). The second window is the first shifted back by 2^-(l-1),
+  // widened by a slack far above the anchor's rounding error (re-resolving
+  // an extra node is harmless).
+  if (const auto below = levels_.find(level - 1); below != levels_.end()) {
+    append_window(below->second, p, x, out);
+    constexpr double kSlack = 1e-9;
+    if (alone || cw(p, x) + 2.0 * kSlack >= 1.0) {
+      append_window(below->second, x, x, out);
+    } else {
+      const double shift = std::ldexp(1.0, -(level - 1));
+      append_window(below->second, wrap_unit(p - shift - kSlack),
+                    wrap_unit(x - shift + kSlack), out);
     }
+  }
+
+  // Up links of the first populated level above l anchor at their own id.
+  if (const auto above = levels_.upper_bound(level); above != levels_.end()) {
+    append_window(above->second, p, x, out);
+  }
+
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
+void ViceroyNetwork::store_links(NodeHandle handle) {
+  if (ViceroyNode* node = node_of(handle)) node->links = resolve_links(handle);
+}
+
+std::uint64_t ViceroyNetwork::count_referencers(
+    NodeHandle handle, const std::vector<NodeHandle>& candidates) const {
+  std::uint64_t referencers = 0;
+  for (const NodeHandle other : candidates) {
+    if (node_state(other).links.references(handle)) ++referencers;
   }
   return referencers;
 }
@@ -175,7 +263,7 @@ NodeHandle ViceroyNetwork::level_successor(int level, double id) const {
                                       : it->second;
 }
 
-ViceroyLinks ViceroyNetwork::links_of(NodeHandle handle) const {
+ViceroyLinks ViceroyNetwork::resolve_links(NodeHandle handle) const {
   const ViceroyNode* node = node_of(handle);
   CYCLOID_EXPECTS(node != nullptr);
   ViceroyLinks links;
@@ -205,11 +293,8 @@ ViceroyLinks ViceroyNetwork::links_of(NodeHandle handle) const {
   }
 
   links.down_left = level_successor(node->level + 1, node->id);
-  const double right_anchor =
-      node->id + std::ldexp(1.0, -node->level) >= 1.0
-          ? node->id + std::ldexp(1.0, -node->level) - 1.0
-          : node->id + std::ldexp(1.0, -node->level);
-  links.down_right = level_successor(node->level + 1, right_anchor);
+  links.down_right =
+      level_successor(node->level + 1, right_anchor(node->id, node->level));
 
   // Up link: the nearest node of the closest lower populated level.
   for (int level = node->level - 1; level >= 1; --level) {
@@ -228,10 +313,17 @@ NodeHandle ViceroyNetwork::owner_of(dht::KeyHash key) const {
 
 namespace {
 
+/// The seven links in next_hop's candidate order.
+std::array<NodeHandle, 7> link_array(const ViceroyLinks& links) noexcept {
+  return {links.ring_pred,  links.ring_succ,  links.level_prev,
+          links.level_next, links.down_left,  links.down_right,
+          links.up};
+}
+
 /// Viceroy's step policy: a three-stage machine — ascend to level 1 via up
 /// links, descend the butterfly, then traverse via level-ring / ring
-/// pointers. Links are resolved from the live membership at use time
-/// (Viceroy's eager maintenance), so the policy never times out.
+/// pointers. Each hop reads the current node's stored links, which eager
+/// maintenance keeps exact, so the policy never times out.
 class ViceroyStepPolicy final : public dht::StepPolicy {
  public:
   ViceroyStepPolicy(const ViceroyNetwork& net, double target)
@@ -244,23 +336,21 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
   /// Continuous identifier space: 8 * the 64 bits of the key hash.
   int default_max_hops() const override { return 8 * 64; }
 
-  // Stage-1 hint only: Viceroy resolves its links live through links_of
-  // (ring searches over shared indexes), so there is no per-node
-  // out-of-line table for a stage-2 prefetch to warm.
+  // Stage-1 hint only: the links live in the record itself, and hinting the
+  // link targets' slot-index buckets and records (stages 2 and 3) showed no
+  // end-to-end gain.
   void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
 
   dht::HopDecision next_hop(const dht::RouteState& state) override {
     const NodeHandle self = state.current();
     const ViceroyNode& cur = net_.node_at(state.current_slot());
+    const ViceroyLinks& links = cur.links;
 
     // Stage 1 — ascend to a level-1 node via up links.
     if (stage_ == Stage::kAscending) {
-      if (cur.level > 1) {
-        const ViceroyLinks links = net_.links_of(self);
-        if (links.up != kNoNode) {
-          return dht::HopDecision::forward(links.up, ViceroyNetwork::kAscend,
-                                           "up");
-        }
+      if (cur.level > 1 && links.up != kNoNode) {
+        return dht::HopDecision::forward(links.up, ViceroyNetwork::kAscend,
+                                         "up");
       }
       stage_ = Stage::kDescending;
     }
@@ -271,7 +361,6 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
     // target (descending further can only overshoot — the traverse stage
     // finishes the approach).
     if (stage_ == Stage::kDescending) {
-      const ViceroyLinks links = net_.links_of(self);
       const double dist = cw(cur.id, target_);
       const NodeHandle down = dist < std::ldexp(1.0, -cur.level)
                                   ? links.down_left
@@ -286,7 +375,6 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
     // Stage 3 — traverse via level-ring / ring pointers toward the target's
     // successor, approaching from whichever side is nearer without stepping
     // over the target.
-    const ViceroyLinks links = net_.links_of(self);
     const NodeHandle pred = links.ring_pred == kNoNode ? self : links.ring_pred;
     if (pred == self) return dht::HopDecision::deliver();  // singleton ring
     const double pred_id = net_.node_state(pred).id;
@@ -296,10 +384,7 @@ class ViceroyStepPolicy final : public dht::StepPolicy {
     if (off > 0.0 && off <= span) return dht::HopDecision::deliver();
     if (target_ == cur.id) return dht::HopDecision::deliver();
 
-    const NodeHandle candidates[] = {links.ring_pred,  links.ring_succ,
-                                     links.level_prev, links.level_next,
-                                     links.down_left,  links.down_right,
-                                     links.up};
+    const std::array<NodeHandle, 7> candidates = link_array(links);
 
     const double d_cw = cw(cur.id, target_);   // travelling clockwise
     const double d_ccw = cw(target_, cur.id);  // sitting past the target

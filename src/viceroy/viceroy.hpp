@@ -12,9 +12,12 @@
 //
 // Maintenance model: Viceroy nodes notify both outgoing AND incoming
 // connections on arrival/departure, so every link is always fresh and no
-// lookup ever hits a departed node (zero timeouts — paper Sec. 4.3). We
-// model that by resolving links from the live membership at use time; the
-// cost of that eager repair is what the paper's conclusion criticizes, not
+// lookup ever hits a departed node (zero timeouts — paper Sec. 4.3). Each
+// node stores its seven links in its arena record; the maintenance policy
+// re-resolves, on every join and leave, exactly the nodes whose links can
+// change (the candidate windows of DESIGN.md §16), so the stored links
+// always equal a fresh resolution against the live membership. The cost of
+// that eager repair is what the paper's conclusion criticizes, not
 // something the hop counts measure.
 #pragma once
 
@@ -30,12 +33,7 @@
 
 namespace cycloid::viceroy {
 
-struct ViceroyNode {
-  double id = 0.0;
-  int level = 1;
-};
-
-/// Snapshot of a node's seven links, resolved from the live membership.
+/// A node's seven links (kNoNode where the membership offers none).
 struct ViceroyLinks {
   dht::NodeHandle ring_pred = dht::kNoNode;
   dht::NodeHandle ring_succ = dht::kNoNode;
@@ -44,6 +42,21 @@ struct ViceroyLinks {
   dht::NodeHandle down_left = dht::kNoNode;
   dht::NodeHandle down_right = dht::kNoNode;
   dht::NodeHandle up = dht::kNoNode;
+
+  /// True when any of the seven links is `node`.
+  bool references(dht::NodeHandle node) const noexcept {
+    return ring_pred == node || ring_succ == node || level_prev == node ||
+           level_next == node || down_left == node || down_right == node ||
+           up == node;
+  }
+  friend bool operator==(const ViceroyLinks&, const ViceroyLinks&) = default;
+};
+
+struct ViceroyNode {
+  double id = 0.0;
+  int level = 1;
+  /// Kept equal to resolve_links(this node) by the maintenance policy.
+  ViceroyLinks links;
 };
 
 class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
@@ -52,8 +65,7 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
 
   /// A network of `count` nodes with uniform-random identifiers and levels
   /// drawn from [1, log2(count)]. `threads` sizes the finish_bulk stabilize
-  /// pass, a no-op here (links resolve from live membership at use time) —
-  /// accepted for builder-signature uniformity across the overlays.
+  /// pass, which resolves every node's links.
   static std::unique_ptr<ViceroyNetwork> build_random(std::size_t count,
                                                       util::Rng& rng,
                                                       int threads = 1);
@@ -62,7 +74,15 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
   bool insert(double id, int level);
 
   // node_state/node_of/node_at come from dht::ArenaNetwork<ViceroyNode>.
-  ViceroyLinks links_of(dht::NodeHandle handle) const;
+  /// The node's stored links (what routing reads).
+  ViceroyLinks links_of(dht::NodeHandle handle) const {
+    return node_state(handle).links;
+  }
+
+  /// The node's links resolved afresh from the ring indexes — the one
+  /// definition of a link. Refresh stores it; tests compare it with
+  /// links_of.
+  ViceroyLinks resolve_links(dht::NodeHandle handle) const;
 
   /// Current highest populated butterfly level.
   int max_level() const noexcept;
@@ -76,7 +96,7 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
   // leave / fail_* / stabilize_* are engine-owned (dht::Maintainer); the
   // overlay's eager-repair accounting lives in ViceroyMaintenancePolicy
   // (viceroy.cpp). The policy repairs eagerly, so even fail_ungraceful runs
-  // with graceful semantics — links always resolve fresh (paper Sec. 4.3).
+  // with graceful semantics — stored links never go stale (paper Sec. 4.3).
   std::string name() const override { return "Viceroy"; }
   std::vector<dht::NodeHandle> node_handles() const override;
   std::vector<std::string> phase_names() const override;
@@ -85,9 +105,10 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
 
   /// Viceroy repairs both outgoing AND incoming connections on every join
   /// and leave (that is why it never times out — and why the paper calls
-  /// its maintenance expensive). Counting the incoming side requires
-  /// scanning the membership, so it is off by default; the maintenance
-  /// bench turns it on.
+  /// its maintenance expensive). With accounting on, each event charges
+  /// 7 + its incoming connections, counted over the event's repair
+  /// candidates; it is off by default and the maintenance benches turn it
+  /// on.
   void enable_maintenance_accounting(bool on) { count_maintenance_ = on; }
 
  private:
@@ -106,8 +127,20 @@ class ViceroyNetwork final : public dht::ArenaNetwork<ViceroyNode> {
 
   void unlink(dht::NodeHandle handle);
 
-  /// Nodes whose resolved links reference `handle` (incoming connections).
-  std::uint64_t count_referencers(dht::NodeHandle handle) const;
+  /// Every node other than `handle` whose links can change when `handle`
+  /// joins or leaves — a superset of the nodes linking to it (DESIGN.md
+  /// §16). Sorted, without duplicates; `handle` must be a member.
+  std::vector<dht::NodeHandle> link_candidates(dht::NodeHandle handle) const;
+
+  /// Store resolve_links(handle) in the node's record (no-op for a
+  /// non-member, as refresh requires).
+  void store_links(dht::NodeHandle handle);
+
+  /// Candidates whose stored links reference `handle` (incoming
+  /// connections).
+  std::uint64_t count_referencers(
+      dht::NodeHandle handle,
+      const std::vector<dht::NodeHandle>& candidates) const;
 
   bool count_maintenance_ = false;
   std::uint64_t next_serial_ = 0;

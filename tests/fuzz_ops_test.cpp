@@ -149,6 +149,19 @@ void expect_registry_arena_agree(exp::OverlayKind kind,
   expect_same_state(kind, net, net);
 }
 
+// Viceroy's dirty hook enqueues nothing: eager repair alone must keep every
+// stored link equal to a fresh resolution after every operation, not only
+// after a drain.
+void expect_viceroy_links_exact(OverlayKind kind, const dht::DhtNetwork& net,
+                                int op) {
+  if (kind != OverlayKind::kViceroy) return;
+  const auto& v = dynamic_cast<const viceroy::ViceroyNetwork&>(net);
+  for (const NodeHandle h : v.node_handles()) {
+    ASSERT_TRUE(v.links_of(h) == v.resolve_links(h))
+        << "op " << op << " node " << h;
+  }
+}
+
 // Random soup of joins, graceful/ungraceful leaves, mass failures, and
 // lookups, driven IDENTICALLY into two networks: the primary tracks
 // dirty neighborhoods and drains with stabilize_dirty (alternating
@@ -217,6 +230,7 @@ void run_primary_shadow_soup(OverlayKind kind, dht::DhtNetwork& primary,
         break;
       }
     }
+    expect_viceroy_links_exact(kind, primary, op);
   }
   primary.stabilize_dirty(2);
   shadow.stabilize_all();

@@ -50,6 +50,8 @@ inline void expect_same_state(exp::OverlayKind kind, const dht::DhtNetwork& a,
         const viceroy::ViceroyLinks lb = nb.links_of(h);
         EXPECT_EQ(la.ring_pred, lb.ring_pred) << h;
         EXPECT_EQ(la.ring_succ, lb.ring_succ) << h;
+        EXPECT_EQ(la.level_prev, lb.level_prev) << h;
+        EXPECT_EQ(la.level_next, lb.level_next) << h;
         EXPECT_EQ(la.down_left, lb.down_left) << h;
         EXPECT_EQ(la.down_right, lb.down_right) << h;
         EXPECT_EQ(la.up, lb.up) << h;

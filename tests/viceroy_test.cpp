@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "hash/keys.hpp"
 #include "util/rng.hpp"
@@ -215,6 +216,148 @@ TEST(ViceroyInsert, RejectsDuplicateIdentifier) {
   EXPECT_TRUE(net.insert(0.25, 1));
   EXPECT_FALSE(net.insert(0.25, 2));
   EXPECT_EQ(net.node_count(), 1u);
+}
+
+// --- Eager repair: stored links always equal a fresh resolution ----------
+
+/// Every live node's stored links equal resolve_links.
+void expect_links_exact(const ViceroyNetwork& net, const std::string& step) {
+  for (const NodeHandle h : net.node_handles()) {
+    ASSERT_TRUE(net.links_of(h) == net.resolve_links(h))
+        << "node " << h << " after " << step;
+  }
+}
+
+/// The O(n) referencer count: nodes other than `x` whose freshly resolved
+/// links contain `x`.
+std::uint64_t scan_referencers(const ViceroyNetwork& net, NodeHandle x) {
+  std::uint64_t count = 0;
+  for (const NodeHandle h : net.node_handles()) {
+    if (h != x && net.resolve_links(h).references(x)) ++count;
+  }
+  return count;
+}
+
+/// Drives a ViceroyNetwork with accounting on and checks, after every
+/// step, that stored links are exact and that the maintenance total equals
+/// the charges the full-scan model predicts: 7 + referencers after a join,
+/// 7 + referencers before a single leave, nothing for mass departures.
+class RepairScript {
+ public:
+  RepairScript() { net_.enable_maintenance_accounting(true); }
+
+  ViceroyNetwork& net() { return net_; }
+
+  /// kNoNode when the identifier collides.
+  NodeHandle insert(double id, int level) {
+    if (!net_.insert(id, level)) return kNoNode;
+    NodeHandle added = kNoNode;
+    for (const NodeHandle h : net_.node_handles()) {
+      if (net_.node_state(h).id == id) added = h;
+    }
+    after_join(added, "insert");
+    return added;
+  }
+
+  void join(std::uint64_t seed) {
+    const NodeHandle added = net_.join(seed);
+    if (added != kNoNode) after_join(added, "join");
+  }
+
+  void leave(NodeHandle node) {
+    expected_ += 7 + scan_referencers(net_, node);
+    net_.leave(node);
+    check("leave");
+  }
+
+  void vanish(NodeHandle node) {
+    // Viceroy repairs eagerly, so a single ungraceful departure runs (and
+    // is charged) as a graceful one.
+    expected_ += 7 + scan_referencers(net_, node);
+    net_.fail_ungraceful(node);
+    check("fail_ungraceful(node)");
+  }
+
+  void check(const std::string& step) {
+    expect_links_exact(net_, step);
+    EXPECT_EQ(net_.maintenance_metrics().total(), expected_) << step;
+  }
+
+ private:
+  void after_join(NodeHandle added, const std::string& step) {
+    ASSERT_NE(added, kNoNode);
+    expected_ += 7 + scan_referencers(net_, added);
+    check(step);
+  }
+
+  ViceroyNetwork net_;
+  std::uint64_t expected_ = 0;
+};
+
+TEST(ViceroyEagerRepair, StoredLinksEqualResolverThroughScript) {
+  RepairScript script;
+  ViceroyNetwork& net = script.net();
+  util::Rng rng(15);
+
+  // Grow from one node to three.
+  ASSERT_NE(script.insert(0.5, 1), kNoNode);
+  script.insert(0.25, 2);
+  script.insert(0.75, 1);
+  // Open new top levels, one skipping a level (the level-5 node's up link
+  // jumps to level 3), then fill the gap (level 4 alone: every level-3
+  // down link and every level-5 up link moves).
+  script.insert(0.1, 3);
+  script.insert(0.6, 3);
+  script.insert(0.9, 5);
+  const NodeHandle gap = script.insert(0.35, 4);
+  // Down-right anchors that wrap past 1.0.
+  script.insert(0.95, 2);
+  script.insert(0.99, 3);
+  for (int i = 0; i < 40; ++i) script.join(rng());
+
+  // Empty level 4, then repopulate it.
+  script.leave(gap);
+  for (const NodeHandle h : net.node_handles()) {
+    if (net.contains(h) && net.node_state(h).level == 4) script.leave(h);
+  }
+  script.insert(0.45, 4);
+  script.insert(0.05, 4);
+
+  for (int i = 0; i < 10; ++i) script.leave(net.random_node(rng));
+  for (int i = 0; i < 5; ++i) script.vanish(net.random_node(rng));
+  net.fail_ungraceful(0.3, rng);
+  script.check("fail_ungraceful(0.3)");
+  for (int i = 0; i < 20; ++i) script.join(rng());
+  net.fail_simultaneously(0.5, rng);
+  script.check("fail_simultaneously(0.5)");
+
+  // Shrink to a single node and grow back.
+  while (net.node_count() > 1) script.leave(net.random_node(rng));
+  for (int i = 0; i < 12; ++i) script.join(rng());
+}
+
+TEST(ViceroyEagerRepair, SparseLevelsEmptyAndRefillUnderChurn) {
+  // A small network spread over many levels: levels empty and refill all
+  // the time, so the whole-level windows run as often as the narrow ones.
+  RepairScript script;
+  ViceroyNetwork& net = script.net();
+  util::Rng rng(16);
+  for (int op = 0; op < 400; ++op) {
+    if (net.node_count() > 4 && rng.chance(0.45)) {
+      const NodeHandle victim = net.random_node(rng);
+      if (rng.chance(0.5)) {
+        script.leave(victim);
+      } else {
+        script.vanish(victim);
+      }
+    } else {
+      script.insert(rng.uniform01(), 1 + static_cast<int>(rng.below(9)));
+    }
+    if (op % 50 == 49) {
+      net.fail_simultaneously(0.3, rng);
+      script.check("fail_simultaneously(0.3)");
+    }
+  }
 }
 
 TEST(ViceroySingleton, OwnsEverything) {
