@@ -1,7 +1,7 @@
 #include "pastry/pastry.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <bit>
 
 #include "util/bits.hpp"
 #include "util/prefetch.hpp"
@@ -59,6 +59,13 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
     net_.compute_neighborhood(*state);
   }
 
+  void before_pass() override {
+    // Bulk construction appends ring ids unsorted; restore the sorted-ring
+    // invariant once, serially, before refresh() fans out to workers that
+    // binary-search it concurrently.
+    net_.sort_ring();
+  }
+
   void dirty(dht::MembershipEvent event, NodeHandle node) override {
     const PastryNode* state = net_.node_of(node);
     CYCLOID_ASSERT(state != nullptr);  // pre-unlink / post-join contract
@@ -105,31 +112,31 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
   void mark_routing_referencers(std::uint64_t id, NodeHandle changed,
                                 bool join) {
     const auto& ring = net_.ring_;
+    const auto cols = static_cast<std::size_t>(net_.digit_base());
     for (int row = 0; row < net_.rows_; ++row) {
       const int col = net_.digit(id, row);
       const int suffix_bits =
           net_.bits_ - (row + 1) * net_.bits_per_digit_;
       const std::uint64_t span = 1ULL << (suffix_bits + net_.bits_per_digit_);
       const std::uint64_t start = (id / span) * span;
-      for (auto it = ring.lower_bound(start);
-           it != ring.end() && it->first < start + span; ++it) {
-        const std::uint64_t x = it->first;
+      for (auto it = std::lower_bound(ring.begin(), ring.end(), start);
+           it != ring.end() && *it < start + span; ++it) {
+        const std::uint64_t x = *it;  // Pastry handles are ids
         if (net_.digit(x, row) == col) continue;  // deeper row (and J itself)
-        const PastryNode* ref = net_.node_of(it->second);
+        const PastryNode* ref = net_.node_of(x);
         CYCLOID_ASSERT(ref != nullptr);
         const auto& table = ref->routing_table;
-        if (table.size() != static_cast<std::size_t>(net_.rows_)) {
-          net_.mark_dirty(it->second);  // unshaped table: be conservative
+        if (table.size() != static_cast<std::size_t>(net_.rows_) * cols) {
+          net_.mark_dirty(x);  // unshaped table: be conservative
           continue;
         }
-        const NodeHandle entry = table[static_cast<std::size_t>(row)]
-                                      [static_cast<std::size_t>(col)];
+        const NodeHandle entry = net_.table_entry(*ref, row, col);
         if (!join) {
-          if (entry == changed) net_.mark_dirty(it->second);
+          if (entry == changed) net_.mark_dirty(x);
           continue;
         }
         if (entry == kNoNode) {
-          net_.mark_dirty(it->second);
+          net_.mark_dirty(x);
           continue;
         }
         const std::uint64_t window = 1ULL << suffix_bits;
@@ -140,7 +147,7 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
         const auto gap = [preferred](std::uint64_t c) {
           return c >= preferred ? c - preferred : preferred - c;
         };
-        if (gap(id) <= gap(entry)) net_.mark_dirty(it->second);
+        if (gap(id) <= gap(entry)) net_.mark_dirty(x);
       }
     }
   }
@@ -148,7 +155,9 @@ class PastryMaintenancePolicy final : public dht::MaintenancePolicy {
   /// X's neighborhood (the |M| proximity-nearest nodes) changes on a
   /// departure only when it held the victim, and on a join only when the
   /// set is not full yet or the newcomer ties-or-beats the current
-  /// farthest member.
+  /// farthest member. This is the one O(n) scan left per event: it asks
+  /// which nodes count the changed node among their nearest, a reverse
+  /// query the proximity grid does not answer.
   void mark_neighborhood_referencers(const PastryNode& state,
                                      NodeHandle changed, bool join) {
     if (net_.neighborhood_size_ == 0) return;
@@ -217,33 +226,67 @@ int PastryNetwork::digit(std::uint64_t id, int row) const {
 
 int PastryNetwork::shared_prefix_digits(std::uint64_t a,
                                         std::uint64_t b) const {
-  for (int row = 0; row < rows_; ++row) {
-    if (digit(a, row) != digit(b, row)) return row;
-  }
-  return rows_;
+  // Digits read only the low bits_ bits; the first differing bit, counted
+  // from the top of that window, sets the shared digit count.
+  const std::uint64_t diff = (a ^ b) & (space_size_ - 1);
+  if (diff == 0) return rows_;
+  const int leading = std::countl_zero(diff) - (64 - bits_);
+  return leading / bits_per_digit_;
+}
+
+NodeHandle PastryNetwork::table_entry(const PastryNode& node, int row,
+                                      int column) const {
+  CYCLOID_EXPECTS(row >= 0 && row < rows_);
+  CYCLOID_EXPECTS(column >= 0 && column < digit_base());
+  const std::size_t at = static_cast<std::size_t>(row) *
+                             static_cast<std::size_t>(digit_base()) +
+                         static_cast<std::size_t>(column);
+  CYCLOID_EXPECTS(at < node.routing_table.size());
+  return node.routing_table[at];
 }
 
 bool PastryNetwork::insert(std::uint64_t id, double x, double y) {
   CYCLOID_EXPECTS(id < space_size_);
+  // The torus metric and the grid's cell index both assume [0, 1).
+  CYCLOID_EXPECTS(x >= 0.0 && x < 1.0 && y >= 0.0 && y < 1.0);
   if (contains(id)) return false;
 
   PastryNode& node = create_node(id);
   node.id = id;
   node.x = x;
   node.y = y;
-  ring_.emplace(id, id);
+  if (bulk_building()) {
+    // Defer the sorted-ring invariant to sort_ring() (the policy's
+    // before_pass hook, run by finish_bulk's stabilize pass) — a sorted
+    // insert per bulk append would cost O(n^2) memmove across the build.
+    ring_.push_back(id);
+    ring_unsorted_ = true;
+  } else {
+    ring_.insert(std::lower_bound(ring_.begin(), ring_.end(), id), id);
+  }
+  grid_.insert({x, y, id});
 
-  // Bulk construction defers derived state to finish_bulk's stabilize pass
-  // (which recomputes it from final membership anyway) — for Pastry this
-  // skips an O(n) neighbourhood scan per insert, the dominant build cost.
+  // Bulk construction defers derived state to finish_bulk's stabilize pass,
+  // which recomputes it from final membership anyway.
   notify_joined(id);
   return true;
 }
 
 void PastryNetwork::unlink(NodeHandle handle) {
   CYCLOID_EXPECTS(contains(handle));
-  ring_.erase(handle);
+  CYCLOID_EXPECTS(!ring_unsorted_);  // departures never run mid-bulk
+  const auto it = std::lower_bound(ring_.begin(), ring_.end(), handle);
+  CYCLOID_ASSERT(it != ring_.end() && *it == handle);
+  ring_.erase(it);
+  const PastryNode* node = node_of(handle);
+  grid_.erase({node->x, node->y, handle});
   destroy_node(handle);
+}
+
+void PastryNetwork::sort_ring() {
+  if (!ring_unsorted_) return;
+  std::sort(ring_.begin(), ring_.end());
+  ring_unsorted_ = false;
 }
 
 std::vector<std::string> PastryNetwork::phase_names() const {
@@ -252,14 +295,16 @@ std::vector<std::string> PastryNetwork::phase_names() const {
 
 NodeHandle PastryNetwork::successor_of(std::uint64_t id) const {
   CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.end() ? ring_.begin()->second : it->second;
+  CYCLOID_EXPECTS(!ring_unsorted_);
+  const auto it = std::lower_bound(ring_.begin(), ring_.end(), id);
+  return it == ring_.end() ? ring_.front() : *it;
 }
 
 NodeHandle PastryNetwork::predecessor_of(std::uint64_t id) const {
   CYCLOID_EXPECTS(!ring_.empty());
-  const auto it = ring_.lower_bound(id);
-  return it == ring_.begin() ? ring_.rbegin()->second : std::prev(it)->second;
+  CYCLOID_EXPECTS(!ring_unsorted_);
+  const auto it = std::lower_bound(ring_.begin(), ring_.end(), id);
+  return it == ring_.begin() ? ring_.back() : *std::prev(it);
 }
 
 NodeHandle PastryNetwork::closest_to(std::uint64_t id) const {
@@ -274,14 +319,7 @@ NodeHandle PastryNetwork::closest_to(std::uint64_t id) const {
 
 double PastryNetwork::proximity(const PastryNode& a,
                                 const PastryNode& b) const {
-  // Euclidean distance on the unit torus.
-  const auto axis = [](double u, double v) {
-    const double d = std::fabs(u - v);
-    return d > 0.5 ? 1.0 - d : d;
-  };
-  const double dx = axis(a.x, b.x);
-  const double dy = axis(a.y, b.y);
-  return dx * dx + dy * dy;
+  return torus_distance2(a.x, a.y, b.x, b.y);
 }
 
 void PastryNetwork::compute_leaf_sets(PastryNode& node) {
@@ -289,20 +327,22 @@ void PastryNetwork::compute_leaf_sets(PastryNode& node) {
   const auto old_larger = std::move(node.leaf_larger);
   node.leaf_smaller.clear();
   node.leaf_larger.clear();
-  const auto self = ring_.find(node.id);
-  CYCLOID_ASSERT(self != ring_.end());
-  auto down = self;
+  CYCLOID_EXPECTS(!ring_unsorted_);
+  const std::size_t n = ring_.size();
+  const auto self = static_cast<std::size_t>(
+      std::lower_bound(ring_.begin(), ring_.end(), node.id) - ring_.begin());
+  CYCLOID_ASSERT(self < n && ring_[self] == node.id);
+  std::size_t down = self;
   for (int i = 0; i < leaf_half_; ++i) {
-    down = down == ring_.begin() ? std::prev(ring_.end()) : std::prev(down);
-    if (down->second == node.id) break;  // wrapped all the way around
-    node.leaf_smaller.push_back(down->second);
+    down = down == 0 ? n - 1 : down - 1;
+    if (ring_[down] == node.id) break;  // wrapped all the way around
+    node.leaf_smaller.push_back(ring_[down]);
   }
-  auto up = self;
+  std::size_t up = self;
   for (int i = 0; i < leaf_half_; ++i) {
-    ++up;
-    if (up == ring_.end()) up = ring_.begin();
-    if (up->second == node.id) break;
-    node.leaf_larger.push_back(up->second);
+    up = up + 1 == n ? 0 : up + 1;
+    if (ring_[up] == node.id) break;
+    node.leaf_larger.push_back(ring_[up]);
   }
   if (node.leaf_smaller != old_smaller || node.leaf_larger != old_larger) {
     note_maintenance(node.id);
@@ -311,9 +351,9 @@ void PastryNetwork::compute_leaf_sets(PastryNode& node) {
 
 void PastryNetwork::compute_routing_table(PastryNode& node) {
   note_maintenance(node.id);
-  node.routing_table.assign(
-      static_cast<std::size_t>(rows_),
-      std::vector<NodeHandle>(1ULL << bits_per_digit_, kNoNode));
+  CYCLOID_EXPECTS(!ring_unsorted_);
+  const auto cols = static_cast<std::size_t>(digit_base());
+  node.routing_table.assign(static_cast<std::size_t>(rows_) * cols, kNoNode);
   for (int row = 0; row < rows_; ++row) {
     const int own = digit(node.id, row);
     const int suffix_bits = bits_ - (row + 1) * bits_per_digit_;
@@ -330,43 +370,30 @@ void PastryNetwork::compute_routing_table(PastryNode& node) {
       // Prefer the participant whose suffix matches the node's own.
       const std::uint64_t preferred =
           base | (node.id & (window - 1));
-      const auto at_or_after = ring_.lower_bound(preferred);
+      const auto at_or_after =
+          std::lower_bound(ring_.begin(), ring_.end(), preferred);
       NodeHandle best = kNoNode;
       std::uint64_t best_gap = ~0ULL;
-      if (at_or_after != ring_.end() && at_or_after->first < base + window) {
-        best = at_or_after->second;
-        best_gap = at_or_after->first - preferred;
+      if (at_or_after != ring_.end() && *at_or_after < base + window) {
+        best = *at_or_after;
+        best_gap = *at_or_after - preferred;
       }
       if (at_or_after != ring_.begin()) {
-        const auto before = std::prev(at_or_after);
-        if (before->first >= base && preferred - before->first < best_gap) {
-          best = before->second;
-        }
+        const std::uint64_t before = *std::prev(at_or_after);
+        if (before >= base && preferred - before < best_gap) best = before;
       }
-      node.routing_table[static_cast<std::size_t>(row)]
-                        [static_cast<std::size_t>(col)] = best;
+      node.routing_table[static_cast<std::size_t>(row) * cols +
+                         static_cast<std::size_t>(col)] = best;
     }
   }
 }
 
 void PastryNetwork::compute_neighborhood(PastryNode& node) {
-  node.neighborhood.clear();
-  if (neighborhood_size_ == 0) return;
-  // |M| proximity-nearest nodes (linear scan; refreshed by stabilization).
-  std::vector<std::pair<double, NodeHandle>> ranked;
-  ranked.reserve(node_count());
-  for (std::size_t slot = 0; slot < node_count(); ++slot) {
-    const NodeHandle handle = handle_at(slot);
-    if (handle == node.id) continue;
-    ranked.emplace_back(proximity(node, node_at(slot)), handle);
-  }
-  const std::size_t keep = std::min<std::size_t>(
-      static_cast<std::size_t>(neighborhood_size_), ranked.size());
-  std::partial_sort(ranked.begin(), ranked.begin() + static_cast<std::ptrdiff_t>(keep),
-                    ranked.end());
-  for (std::size_t i = 0; i < keep; ++i) {
-    node.neighborhood.push_back(ranked[i].second);
-  }
+  // |M| proximity-nearest nodes, exact (refreshed by stabilization).
+  const std::size_t ranked = grid_.nearest(
+      {node.x, node.y, node.id}, static_cast<std::size_t>(neighborhood_size_),
+      node.neighborhood);
+  neighborhood_candidates_ += ranked;
 }
 
 void PastryNetwork::refresh_leafsets_around(std::uint64_t id) {
@@ -436,24 +463,27 @@ class PastryStepPolicy final : public dht::StepPolicy {
   void prefetch(std::size_t slot) const override { net_.prefetch_node(slot); }
   void prefetch_tables(std::size_t slot) const override {
     // Stage 2: warm the leaf sets (both halves get scanned by best_leaf)
-    // and the routing table's row headers (the row picked depends on the
-    // key, so the header vector is the common line).
+    // and the key-selected routing-table row. The table is flat, so the
+    // row's address needs only the record's id and data pointer.
     const PastryNode& cur = net_.node_at(slot);
     util::prefetch_lines(cur.leaf_smaller.data(),
                          cur.leaf_smaller.size() * sizeof(NodeHandle));
     util::prefetch_lines(cur.leaf_larger.data(),
                          cur.leaf_larger.size() * sizeof(NodeHandle));
-    util::prefetch_lines(cur.routing_table.data(),
-                         cur.routing_table.size() *
-                             sizeof(std::vector<NodeHandle>));
+    const auto cols = static_cast<std::size_t>(net_.digit_base());
+    const auto row =
+        static_cast<std::size_t>(net_.shared_prefix_digits(cur.id, target_));
+    if ((row + 1) * cols <= cur.routing_table.size()) {
+      util::prefetch_lines(cur.routing_table.data() + row * cols,
+                           cols * sizeof(NodeHandle));
+    }
   }
   void prefetch_probes(std::size_t slot) const override {
-    // Stage 3: the leaf arrays and row headers landed during the rotation
-    // since stage 2, so they are cheap to read through now. In the leaf
-    // phase next_hop liveness-probes every leaf member (each a scattered
-    // SlotIndex bucket); in the prefix phase it reads one key-selected
-    // row's entries — reachable only through the row header, i.e. one
-    // indirection too deep for stage 2.
+    // Stage 3: the leaf arrays and the row landed during the rotation
+    // since stage 2, so they are cheap to read through now. next_hop
+    // liveness-probes every leaf member in the leaf phase, and the one
+    // key-selected entry in the prefix phase (each a scattered SlotIndex
+    // bucket).
     const PastryNode& cur = net_.node_at(slot);
     if (cur.id == target_) return;
     if (net_.key_in_leaf_range(cur, target_)) {
@@ -466,9 +496,8 @@ class PastryStepPolicy final : public dht::StepPolicy {
       return;
     }
     const int row = net_.shared_prefix_digits(cur.id, target_);
-    const auto& table_row = cur.routing_table[static_cast<std::size_t>(row)];
-    util::prefetch_lines(table_row.data(),
-                         table_row.size() * sizeof(NodeHandle));
+    net_.slot_index().prefetch(
+        net_.table_entry(cur, row, net_.digit(target_, row)));
   }
 
   dht::HopDecision next_hop(const dht::RouteState& state) override {
@@ -512,8 +541,7 @@ class PastryStepPolicy final : public dht::StepPolicy {
     const int row = net_.shared_prefix_digits(cur.id, target_);
     CYCLOID_ASSERT(row < net_.digit_count());
     const NodeHandle entry =
-        cur.routing_table[static_cast<std::size_t>(row)]
-                         [static_cast<std::size_t>(net_.digit(target_, row))];
+        net_.table_entry(cur, row, net_.digit(target_, row));
     if (entry != kNoNode && state.attempt(entry)) {
       return dht::HopDecision::forward(entry, PastryNetwork::kPrefix,
                                        "prefix");
@@ -536,9 +564,7 @@ class PastryStepPolicy final : public dht::StepPolicy {
     for (const NodeHandle h : cur.leaf_smaller) consider(h);
     for (const NodeHandle h : cur.leaf_larger) consider(h);
     for (const NodeHandle h : cur.neighborhood) consider(h);
-    for (const auto& table_row : cur.routing_table) {
-      for (const NodeHandle h : table_row) consider(h);
-    }
+    for (const NodeHandle h : cur.routing_table) consider(h);
     if (best != kNoNode) {
       return dht::HopDecision::forward(best, PastryNetwork::kPrefix,
                                        "rare-case");

@@ -9,7 +9,8 @@
 //   * a leaf set L of the |L|/2 numerically closest smaller and |L|/2
 //     larger nodes;
 //   * a neighborhood set M of the |M| geographically closest nodes (we
-//     model proximity with random coordinates on a unit torus).
+//     model proximity with random coordinates on a unit torus, and find
+//     them with an exact grid query, proximity_grid.hpp).
 // Keys live at the numerically closest node. Routing corrects one digit per
 // hop left-to-right and finishes numerically within the leaf set — exactly
 // the scheme Cycloid's descending phase borrows.
@@ -19,14 +20,15 @@
 // until stabilization.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dht/arena.hpp"
 #include "dht/network.hpp"
+#include "pastry/proximity_grid.hpp"
 #include "util/rng.hpp"
 
 namespace cycloid::pastry {
@@ -35,9 +37,11 @@ struct PastryNode {
   std::uint64_t id = 0;
   double x = 0.0;  ///< proximity coordinates (unit torus)
   double y = 0.0;
-  /// routing_table[row][column]; kNoNode where no participant matches (or
-  /// where the column equals the node's own digit).
-  std::vector<std::vector<dht::NodeHandle>> routing_table;
+  /// The routing table, flat and row-major: entry (row, column) sits at
+  /// row * 2^bits_per_digit + column (PastryNetwork::table_entry). kNoNode
+  /// where no participant matches (or where the column equals the node's
+  /// own digit). One allocation per node; empty until first computed.
+  std::vector<dht::NodeHandle> routing_table;
   std::vector<dht::NodeHandle> leaf_smaller;  // nearest first
   std::vector<dht::NodeHandle> leaf_larger;
   std::vector<dht::NodeHandle> neighborhood;  // closest by proximity
@@ -61,9 +65,23 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   int bits() const noexcept { return bits_; }
   std::uint64_t space_size() const noexcept { return space_size_; }
   int digit_count() const noexcept { return rows_; }
+  /// Routing-table columns per row (the digit base 2^bits_per_digit).
+  int digit_base() const noexcept { return 1 << bits_per_digit_; }
+  /// Routing-table entry (row, column) of a node whose table is computed.
+  dht::NodeHandle table_entry(const PastryNode& node, int row,
+                              int column) const;
 
-  /// Insert at an explicit identifier with explicit proximity coordinates.
+  /// Insert at an explicit identifier with explicit proximity coordinates,
+  /// which must lie in [0, 1) (the unit torus).
   bool insert(std::uint64_t id, double x, double y);
+
+  /// Cumulative count of candidates that neighbourhood selection ranked
+  /// (every compute_neighborhood since construction) — a deterministic,
+  /// machine-independent work count: O(|M|) per node with the proximity
+  /// grid, where a linear scan ranks n - 1.
+  std::uint64_t neighborhood_candidates() const noexcept {
+    return neighborhood_candidates_.load();
+  }
 
   // node_state/node_of/node_at come from dht::ArenaNetwork<PastryNode>.
 
@@ -106,6 +124,9 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   void compute_neighborhood(PastryNode& node);
   void refresh_leafsets_around(std::uint64_t id);
   void unlink(dht::NodeHandle handle);
+  /// Restore the sorted-ring invariant after a bulk-build insert run (the
+  /// policy's before_pass hook calls this; no-op when already sorted).
+  void sort_ring();
 
   double proximity(const PastryNode& a, const PastryNode& b) const;
 
@@ -116,7 +137,19 @@ class PastryNetwork final : public dht::ArenaNetwork<PastryNode> {
   int leaf_half_;
   int neighborhood_size_;
 
-  std::map<std::uint64_t, dht::NodeHandle> ring_;
+  /// Live identifiers in ascending order (id == handle); successor and
+  /// predecessor queries are one std::lower_bound. Joins and leaves keep
+  /// it sorted in place; bulk construction appends unsorted
+  /// (ring_unsorted_ set) and sorts once in sort_ring() before the
+  /// finish_bulk pass.
+  std::vector<std::uint64_t> ring_;
+  bool ring_unsorted_ = false;
+  /// Every member at its proximity coordinates; maintained by insert and
+  /// unlink, read-only during stabilize passes.
+  ProximityGrid grid_;
+  /// Summed across concurrent refreshes, hence atomic; the total is the
+  /// same at any thread count.
+  std::atomic<std::uint64_t> neighborhood_candidates_{0};
 };
 
 }  // namespace cycloid::pastry
